@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -101,13 +100,8 @@ def certify(
 ) -> CertificateReport:
     """Build all four models for (n, l), fill the decomposition data, and
     evaluate the certificate inequality exactly."""
-    return _certify_cached(d, r, ensure_rational(eps), lattice_vector(n), lattice_vector(l))
-
-
-@lru_cache(maxsize=None)
-def _certify_cached(
-    d: int, r: int, eps: Rat, nvec: LatticeVector, lvec: LatticeVector
-) -> CertificateReport:
+    eps = ensure_rational(eps)
+    nvec, lvec = lattice_vector(n), lattice_vector(l)
     eps_p = epsilon_prime(d, r, eps)
     v = model_V(d, nvec)
     _, _, ydata = model_Y(v, lvec, r, eps)

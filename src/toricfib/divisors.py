@@ -204,7 +204,7 @@ def _check_boundary(fan: Fan, boundary: ToricDivisor) -> None:
         raise ValueError("boundary coefficients must be <= 1")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def toric_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Rat, LatticeVector]:
     """Minimal log discrepancy over all primitive vectors in the support,
     with the lexicographically smallest minimizer.
@@ -264,8 +264,16 @@ class Subdivision:
 
     @classmethod
     def at(cls, fan: Fan, l: Sequence[int]) -> "Subdivision":
+        """The star subdivision of the fan at l.  The fine fan is built
+        here from the coarse one, so the check of ``__post_init__``, which
+        rebuilds it to compare with a fine fan given by the caller, is not
+        run."""
         vec = lattice_vector(l)
-        return cls(fan, star_subdivide(fan, vec), vec)
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "coarse", fan)
+        object.__setattr__(sub, "fine", star_subdivide(fan, vec))
+        object.__setattr__(sub, "new_ray", vec)
+        return sub
 
 
 def pullback(subdivision: Subdivision, divisor: ToricDivisor) -> ToricDivisor:

@@ -135,7 +135,7 @@ class WUModelResult(NamedTuple):
     data: DecompositionData
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
     """The fibration model of a primitive vector n with n_1 > 0: maximal
     cones are spanned by n together with the (d-1)-subsets of the
@@ -196,13 +196,7 @@ def model_Y(
     eps = ensure_rational(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    return _model_Y_cached(v_model, lattice_vector(l), r, eps)
-
-
-@lru_cache(maxsize=None)
-def _model_Y_cached(
-    v_model: FibrationModel, vec: LatticeVector, r: int, eps: Rat
-) -> YModelResult:
+    vec = lattice_vector(l)
     n = v_model.distinguished_ray
     if not is_primitive(vec):
         raise ValueError("l must be primitive")
@@ -229,11 +223,7 @@ def _model_Y_cached(
 def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
     """The swapped models: W is the fibration model of l, and U extracts n
     from it.  Fills the lam/betas half of the decomposition data."""
-    return _model_W_U_cached(d, lattice_vector(l), lattice_vector(n))
-
-
-@lru_cache(maxsize=None)
-def _model_W_U_cached(d: int, lvec: LatticeVector, nvec: LatticeVector) -> WUModelResult:
+    lvec, nvec = lattice_vector(l), lattice_vector(n)
     w = model_V(d, lvec, kind="W")
     if not is_primitive(nvec):
         raise ValueError("n must be primitive")

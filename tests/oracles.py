@@ -4,13 +4,18 @@ These deliberately avoid the code paths they validate: box enumeration
 scans an integer bounding box instead of solving congruences, the mld
 oracle scans a bounding cube instead of reducing to box points, and the
 fiber-multiplicity oracle re-derives coefficients by resolving until the
-relevant cones are smooth and pulling back step by step.
+relevant cones are smooth and pulling back step by step.  The
+face-compatibility oracle solves a linear program over the rationals with
+sympy instead of enumerating facet hyperplanes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from sympy import Eq, symbols
+from sympy.solvers.simplex import lpmax
 
 from toricfib.divisors import (
     Subdivision,
@@ -133,3 +138,29 @@ def smooth_refinement_fiber_coefficient(model: FibrationModel) -> Fraction:
         divisor = pullback(sub, divisor)
         fan = sub.fine
     return divisor.coefficient(target)
+
+
+def lp_meet_in_common_face(c1: Cone, c2: Cone) -> bool:
+    """Whether two full-dimensional simplicial cones meet in the cone of
+    their shared rays, by an exact linear program.
+
+    A point x = sum(lam_i u_i) = sum(mu_j w_j) with lam, mu >= 0 of both
+    cones lies in the shared face exactly when lam vanishes on c1's
+    unshared rays, so the cones meet in that face exactly when the sum of
+    those lam_i, capped at 1, has maximum 0.
+    """
+    d = c1.ambient_dim
+    lam = symbols(f"lam0:{d}")
+    mu = symbols(f"mu0:{d}")
+    shared = set(c1.rays) & set(c2.rays)
+    outside = sum(x for x, ray in zip(lam, c1.rays) if ray not in shared)
+    constraints = [x >= 0 for x in lam + mu] + [outside <= 1]
+    for k in range(d):
+        constraints.append(
+            Eq(
+                sum(x * ray[k] for x, ray in zip(lam, c1.rays)),
+                sum(y * ray[k] for y, ray in zip(mu, c2.rays)),
+            )
+        )
+    best, _ = lpmax(outside, constraints)
+    return best == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toricfib import divisors
 from toricfib.divisors import (
     Subdivision,
     ToricDivisor,
@@ -21,7 +22,7 @@ from toricfib.divisors import (
     zero_divisor,
 )
 from toricfib.exactmath import dot
-from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan
+from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan, star_subdivide
 from toricfib.models import model_V
 from oracles import brute_force_mld
 
@@ -245,6 +246,20 @@ class TestPullback:
         sub = Subdivision.at(fan, (1, 1))
         with pytest.raises(ValueError, match="coarse fan"):
             pullback(sub, zero_divisor(sub.fine))
+
+    def test_at_subdivides_once(self, monkeypatch):
+        fan = standard_fibration_fan(2)
+        calls = []
+
+        def counted(coarse, ray):
+            calls.append(ray)
+            return star_subdivide(coarse, ray)
+
+        monkeypatch.setattr(divisors, "star_subdivide", counted)
+        sub = Subdivision.at(fan, (1, 1))
+        assert calls == [(1, 1)]
+        monkeypatch.undo()
+        assert sub == Subdivision(fan, star_subdivide(fan, (1, 1)), (1, 1))
 
     def test_wrong_record_rejected(self):
         fan = standard_fibration_fan(2)

@@ -3,15 +3,56 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricfib import cli, serialize
 from toricfib.fan import (
     Cone,
     Fan,
+    _meet_by_enumeration,
+    _separated,
     multiplicity,
     smallest_containing_cone,
     standard_fibration_fan,
     star_subdivide,
 )
+from oracles import lp_meet_in_common_face
+
+
+def half_plane_chain(cones: int) -> list[Cone]:
+    """A valid surface fan of the given number of cones, in the half-plane
+    x_1 >= 0 between (0, 1) and (0, -1): its interior rays are (1, k) with
+    k running down through the integers around 0."""
+    top = (cones - 2) // 2
+    rays = [(0, 1)] + [(1, k) for k in range(top, top - cones + 1, -1)] + [(0, -1)]
+    return [Cone((u, v)) for u, v in zip(rays, rays[1:])]
+
+
+# meets <(1, 5), (1, 4)> and <(1, 4), (1, 3)> in 2-dimensional sets
+OVERLAPPING = Cone(((1, 5), (1, 3)))
+
+
+def random_cone_pair(seed: int) -> tuple[Cone, Cone, frozenset]:
+    """Two distinct full-dimensional simplicial cones in dimension 2, 3 or
+    4 sharing 0 to d-1 drawn rays, entries in [-3, 3]; about half of such
+    pairs overlap."""
+    rng = random.Random(seed)
+    d = rng.choice((2, 3, 4))
+
+    def draw(m):
+        return [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
+
+    while True:
+        shared = draw(rng.randint(0, d - 1))
+        k = len(shared)
+        try:
+            c1 = Cone(tuple(shared + draw(d - k)))
+            c2 = Cone(tuple(shared + draw(d - k)))
+        except ValueError:
+            continue
+        if c1.dim == d and c2.dim == d and c1 != c2:
+            return c1, c2, frozenset(c1.rays) & frozenset(c2.rays)
 
 
 class TestCone:
@@ -96,6 +137,76 @@ class TestFanValidation:
     def test_compatible_fan_accepted(self):
         fan = Fan(2, (Cone(((1, 0), (1, 1))), Cone(((1, 1), (0, 1)))))
         assert len(fan.maximal_cones) == 2
+
+    def test_overlap_among_many_cones_rejected(self):
+        chain = half_plane_chain(64)
+        assert len(Fan(2, tuple(chain)).maximal_cones) == 64
+        with pytest.raises(ValueError, match="common face"):
+            Fan(2, tuple(chain) + (OVERLAPPING,))
+
+    def test_overlap_among_many_cones_rejected_by_cli(self, tmp_path, capsys):
+        doc = {
+            "ambient_dim": 2,
+            "maximal_cones": [list(c.rays) for c in half_plane_chain(64) + [OVERLAPPING]],
+        }
+        path = tmp_path / "fan.json"
+        path.write_text(serialize.dumps(doc))
+        assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_INPUT
+        assert "common face" in capsys.readouterr().err
+
+    def test_lower_dimensional_cone_rejected(self):
+        doc = {
+            "ambient_dim": 3,
+            "maximal_cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]]],
+        }
+        with pytest.raises(serialize.InputError, match="not full dimensional"):
+            serialize.fan_from_dict(doc)
+        with pytest.raises(ValueError, match="not full dimensional"):
+            Fan(2, (Cone(((1, 0),)),))
+
+    def test_certificate_undecided_pair_goes_to_enumeration(self):
+        c1 = Cone(((-2, -2, -3), (-1, 3, 0), (2, -3, -2)))
+        c2 = Cone(((-3, 1, 2), (-1, -3, 2), (3, -2, -1)))
+        assert not _separated(c1, c2, frozenset())
+        assert not _separated(c2, c1, frozenset())
+        assert _meet_by_enumeration(c1, c2, frozenset())
+        assert lp_meet_in_common_face(c1, c2)
+        assert len(Fan(3, (c1, c2)).maximal_cones) == 2
+
+    @pytest.mark.parametrize(
+        "fan",
+        [
+            Fan(2, tuple(half_plane_chain(40))),
+            star_subdivide(star_subdivide(standard_fibration_fan(3), (2, 1, 1)), (3, 1, 2)),
+            star_subdivide(standard_fibration_fan(4), (1, 1, -1, 0)),
+        ],
+    )
+    def test_certificate_decides_every_pair_of_fans_built_here(self, fan):
+        for c1, c2 in combinations(fan.maximal_cones, 2):
+            shared = frozenset(c1.rays) & frozenset(c2.rays)
+            assert _separated(c1, c2, shared) or _separated(c2, c1, shared)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300)
+    def test_certificate_and_fan_agree_with_enumeration(self, seed):
+        c1, c2, shared = random_cone_pair(seed)
+        meet = _meet_by_enumeration(c1, c2, shared)
+        assert meet == _meet_by_enumeration(c2, c1, shared)
+        if _separated(c1, c2, shared) or _separated(c2, c1, shared):
+            assert meet
+        try:
+            Fan(c1.ambient_dim, (c1, c2))
+        except ValueError as exc:
+            assert "common face" in str(exc)
+            assert not meet
+        else:
+            assert meet
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_enumeration_agrees_with_linear_program(self, seed):
+        c1, c2, shared = random_cone_pair(seed)
+        assert _meet_by_enumeration(c1, c2, shared) == lp_meet_in_common_face(c1, c2)
 
 
 class TestSmallestContainingCone:
