@@ -2,7 +2,9 @@
 one deterministic JSON report to stdout.
 
 Exit codes: 0 success, 2 invalid input, 3 scan found a non-firing
-singular instance.  When both --in and flags are given, the file wins.
+singular instance, 4 an internal invariant failed; the last writes one
+JSON error record carrying the arguments to stderr and nothing to stdout.
+When both --in and flags are given, the file wins.
 The TORICFIB_JOBS environment variable overrides --jobs for scan.
 """
 
@@ -16,13 +18,14 @@ from typing import Any, Mapping, Sequence
 
 from . import criterion, serialize, surface, towers
 from .divisors import toric_mld, zero_divisor
-from .exactmath import is_primitive
+from .exactmath import InvariantViolation, is_primitive
 from .models import model_V
 from .serialize import InputError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SCAN_FAILURE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> Mapping[str, Any]:
@@ -222,6 +225,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InvariantViolation as exc:
+        record = {
+            "schema_version": serialize.SCHEMA_VERSION,
+            "kind": "internal-error",
+            "message": str(exc),
+            "argv": list(sys.argv[1:] if argv is None else argv),
+        }
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

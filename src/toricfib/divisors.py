@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .exactmath import (
@@ -45,7 +45,7 @@ class ToricDivisor:
     entries: tuple[tuple[LatticeVector, Rat], ...]
 
     def __post_init__(self) -> None:
-        rays = set(self.fan.rays)
+        rays = self.fan.ray_set
         seen = set()
         normalized = []
         for ray, coeff in self.entries:
@@ -65,14 +65,15 @@ class ToricDivisor:
     def make(cls, fan: Fan, coefficients: Mapping[LatticeVector, int | Rat]) -> "ToricDivisor":
         return cls(fan, tuple(coefficients.items()))
 
+    @cached_property
+    def _table(self) -> dict[LatticeVector, Rat]:
+        return dict(self.entries)
+
     def coefficient(self, ray: Sequence[int]) -> Rat:
         ray = lattice_vector(ray)
-        if ray not in set(self.fan.rays):
+        if ray not in self.fan.ray_set:
             raise ValueError(f"{ray} is not a ray of the fan")
-        for r, c in self.entries:
-            if r == ray:
-                return c
-        return Fraction(0)
+        return self._table.get(ray, Fraction(0))
 
     def as_dict(self) -> dict[LatticeVector, Rat]:
         return dict(self.entries)
@@ -241,7 +242,7 @@ def fiber_multiplicity(fan: Fan, t: Sequence[int]) -> int:
     """Multiplicity of the prime divisor of the ray t in the fiber over the
     origin of the base: the first coordinate of t."""
     vec = lattice_vector(t)
-    if vec not in set(fan.rays):
+    if vec not in fan.ray_set:
         raise ValueError(f"{vec} is not a ray of the fan")
     if vec[0] <= 0:
         raise ValueError("not a fiber component")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -100,9 +101,30 @@ def _row_reduce(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def rank(vectors: Sequence[Sequence[int | Fraction]]) -> int:
-    rows = [[Fraction(e) for e in v] for v in vectors]
-    return len(_row_reduce(rows))
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of integer vectors by fraction-free (Bareiss) elimination.
+
+    Each update divides by the previous pivot; the division is exact
+    because every entry is then a minor of the pivot columns so far and
+    its own column.
+    """
+    rows = [list(lattice_vector(v)) for v in vectors]
+    ncols = len(rows[0]) if rows else 0
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+        r += 1
+    return r
 
 
 def solve_in_basis(
@@ -317,28 +339,6 @@ def smith_normal_form(
     return u, a, v
 
 
-def invert_unimodular(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-        for i in range(n)
-    ]
-    pivots = _row_reduce(aug)
-    if pivots != list(range(n)):
-        raise InvariantViolation("matrix is singular, cannot invert")
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = aug[i][n + j]
-            if x.denominator != 1:
-                raise InvariantViolation("matrix is not unimodular")
-            row.append(int(x))
-        inv.append(row)
-    return inv
-
-
 def sublattice_index(vectors: Sequence[Sequence[int]]) -> int:
     """Index of the sublattice spanned by ``vectors`` inside the saturation
     of their rational span; ValueError when the vectors are dependent."""
@@ -361,9 +361,20 @@ def parallelepiped_points(
     """All lattice points of the half-open box spanned by the generators.
 
     For independent generators g_1..g_k this returns every lattice point
-    sum(c_i g_i) with 0 <= c_i < 1, paired with its coefficient vector; the
-    count equals the index of the generated sublattice in the saturation of
-    its span.  The zero point (with zero coefficients) is always included.
+    sum(c_i g_i) with 0 <= c_i < 1, paired with its coefficient vector and
+    sorted by point; the count equals the index of the generated sublattice
+    in the saturation of its span.  The zero point (with zero coefficients)
+    is always included.
+
+    The points are read off the Smith normal form U A V = D of the matrix A
+    whose columns are the generators, in integers only.  A rational c gives
+    a lattice point A c exactly when U A c = D (V^-1 c) is integral, that is
+    when V^-1 c = combo / D for an integer vector combo; modulo Z^k, which
+    V preserves, the cosets are the c = V (combo / D) with 0 <= combo_j <
+    D_j.  Every D_j divides the largest invariant factor D_k, so these
+    coefficients are integer numerators over D_k, and reducing them mod D_k
+    moves the coset into the box.  The point A nums / D_k is then integral,
+    and its division is checked to be exact.
     """
     gens = [lattice_vector(g) for g in generators]
     d = len(gens[0])
@@ -373,23 +384,27 @@ def parallelepiped_points(
     if k > d:
         raise ValueError("generators not independent")
     columns = [[g[i] for g in gens] for i in range(d)]
-    u, dg, _ = smith_normal_form(columns)
+    _, dg, v = smith_normal_form(columns)
     diag = [dg[i][i] for i in range(k)]
     if any(x == 0 for x in diag):
         raise ValueError("generators not independent")
-    uinv = invert_unimodular(u)
+    top = diag[-1]
+    # numerators over top of the coefficients c * (column j of V) / D_j
+    multiples = [
+        [tuple(c * (top // x) * v[i][j] for i in range(k)) for c in range(x)]
+        for j, x in enumerate(diag)
+    ]
 
     points: list[tuple[LatticeVector, RationalVector]] = []
-    for combo in itertools.product(*(range(x) for x in diag)):
-        # coset representative in the saturated span, then reduced into the box
-        x = tuple(sum(uinv[i][j] * combo[j] for j in range(k)) for i in range(d))
-        coeffs = solve_in_basis(gens, x)
-        if coeffs is None:
-            raise InvariantViolation("coset representative left the span")
-        shifts = [math.floor(c) for c in coeffs]
-        frac = tuple(c - s for c, s in zip(coeffs, shifts))
-        pt = tuple(x[i] - sum(s * g[i] for s, g in zip(shifts, gens)) for i in range(d))
-        points.append((pt, frac))
+    for parts in itertools.product(*multiples):
+        nums = [sum(column) % top for column in zip(*parts)]
+        pt = []
+        for row in columns:
+            q, rem = divmod(sum(map(operator.mul, row, nums)), top)
+            if rem:
+                raise InvariantViolation("box coset representative is not a lattice point")
+            pt.append(q)
+        points.append((tuple(pt), tuple(Fraction(n, top) for n in nums)))
     if len({pt for pt, _ in points}) != len(points):
         raise InvariantViolation("box enumeration produced a duplicate coset")
     points.sort(key=lambda item: item[0])

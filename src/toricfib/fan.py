@@ -29,6 +29,7 @@ from .exactmath import (
     RationalVector,
     adjugate,
     det,
+    ensure_rational,
     is_primitive,
     lattice_vector,
     primitive,
@@ -43,7 +44,11 @@ from .exactmath import (
 class Cone:
     """A simplicial cone spanned by primitive, independent ray generators.
 
-    Rays are stored sorted, so equality and hashing are order-free.
+    Rays are stored sorted, so equality and hashing are order-free.  A
+    full-dimensional cone computes the integer inverse of its ray matrix
+    once, as (adjugate, determinant), and answers ``coefficients``,
+    ``contains`` and ``facet_normals`` from it; a lower-dimensional cone
+    solves in the span of its rays.
     """
 
     rays: tuple[LatticeVector, ...]
@@ -70,9 +75,24 @@ class Cone:
     def dim(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def _inverse(self) -> tuple[list[list[int]], int]:
+        """(adj, det) of the matrix whose columns are the rays: the
+        coordinates of v on the rays are adj v / det."""
+        if self.dim != self.ambient_dim:
+            raise ValueError("cone is not full dimensional")
+        matrix = [[ray[i] for ray in self.rays] for i in range(self.ambient_dim)]
+        return adjugate(matrix), det(matrix)
+
     def coefficients(self, v: Sequence[int | Fraction]) -> RationalVector | None:
         """Coordinates of v on the rays, or None when v is outside their span."""
-        return solve_in_basis(self.rays, rational_vector(v))
+        if self.dim != self.ambient_dim:
+            return solve_in_basis(self.rays, rational_vector(v))
+        vec = [x if isinstance(x, (int, Fraction)) else ensure_rational(x) for x in v]
+        if len(vec) != self.ambient_dim:
+            raise ValueError("target dimension mismatch")
+        adj, base = self._inverse
+        return tuple(Fraction(sum(a * x for a, x in zip(row, vec)), base) for row in adj)
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
         coeffs = self.coefficients(v)
@@ -84,14 +104,9 @@ class Cone:
         per ray: the i-th vanishes on every ray but the i-th and is positive
         there.  They are the rows of the inverse ray matrix, i.e. of the
         adjugate up to the sign of the determinant."""
-        d = self.ambient_dim
-        matrix = [list(ray) for ray in self.rays]
-        base = det(matrix)
-        if base == 0:
-            raise ValueError("cone is not full dimensional")
-        adj = adjugate(matrix)
+        adj, base = self._inverse
         sign = 1 if base > 0 else -1
-        return tuple(primitive(tuple(sign * adj[j][i] for j in range(d))) for i in range(d))
+        return tuple(primitive(tuple(sign * a for a in row)) for row in adj)
 
 
 def multiplicity(cone: Cone) -> int:
@@ -214,7 +229,11 @@ class Fan:
 
     @cached_property
     def rays(self) -> tuple[LatticeVector, ...]:
-        return tuple(sorted({r for c in self.maximal_cones for r in c.rays}))
+        return tuple(sorted(self.ray_set))
+
+    @cached_property
+    def ray_set(self) -> frozenset[LatticeVector]:
+        return frozenset(r for c in self.maximal_cones for r in c.rays)
 
     def containing_cone(
         self, v: Sequence[int | Fraction]
@@ -274,7 +293,7 @@ def star_subdivide(fan: Fan, l: Sequence[int]) -> Fan:
     vec = lattice_vector(l)
     if not is_primitive(vec):
         raise ValueError("subdivision ray must be primitive")
-    if vec in fan.rays:
+    if vec in fan.ray_set:
         raise ValueError("already extracted")
     tau, _ = smallest_containing_cone(fan, vec)
     tau_rays = set(tau.rays)

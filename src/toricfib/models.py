@@ -56,7 +56,7 @@ class FibrationModel:
         object.__setattr__(self, "distinguished_ray", ray)
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if ray not in set(self.fan.rays):
+        if ray not in self.fan.ray_set:
             raise ValueError("distinguished ray is not a ray of the fan")
         if ray[0] <= 0:
             raise ValueError("distinguished ray must have positive first coordinate")

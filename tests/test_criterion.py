@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricfib.criterion import (
+    _scan_instance,
     certify,
     epsilon_prime,
     primitive_family,
@@ -159,6 +160,18 @@ class TestScan:
         summary = scan(3, 2, Fraction(1, 3), 8, jobs=1)
         assert summary.ok
         assert summary.total == summary.epsilon_lc + summary.singular
+
+    def test_d3_singular_instances_certified(self):
+        # (N,1,1) has mld 2/N, below eps' = 1/54 from N = 109 on
+        eps = Fraction(1, 3)
+        eps_p = epsilon_prime(3, 2, eps)
+        for n in [(109, 1, 1), (110, 1, 1), (150, 1, 1)]:
+            _, is_lc, report = _scan_instance((3, 2, eps, eps_p, n))
+            assert not is_lc
+            assert report.a == Fraction(2, n[0])
+            assert report.fires
+            assert verify_explicit_bounds(report)
+        assert _scan_instance((3, 2, eps, eps_p, (113, 2, 1))) == ((113, 2, 1), True, None)
 
     def test_parallel_matches_serial(self):
         serial = scan(2, 1, Fraction(1, 2), 26, jobs=1)

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
+from toricfib import exactmath
 from toricfib.exactmath import (
     InvariantViolation,
     adjugate,
     det,
-    invert_unimodular,
     parallelepiped_points,
     primitive,
     rank,
@@ -92,6 +93,29 @@ class TestSolveInBasis:
         assert solve_in_basis(gens, target) == tuple(coeffs)
 
 
+class TestRank:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80)
+    def test_matches_sympy(self, seed):
+        rng = random.Random(seed)
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        basis = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rng.randint(1, rows))]
+        # rows drawn from the span of a few random rows, and some columns
+        # zero or multiples of the one before, so rank deficits occur and
+        # elimination meets columns without a pivot
+        vectors = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols)]
+            for _ in range(rows)
+        ]
+        for j in range(cols):
+            if rng.random() < 0.3:
+                t = rng.randint(-2, 2) if j else 0
+                for v in vectors:
+                    v[j] = t * v[j - 1]
+        assert rank(vectors) == Matrix(vectors).rank()
+
+
 class TestSmithNormalForm:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=80)
@@ -117,16 +141,6 @@ class TestSmithNormalForm:
                 assert y % x == 0
             else:
                 assert y == 0
-
-    def test_inverse_of_unimodular(self):
-        u, _, _ = smith_normal_form([[4, 0], [1, -1]])
-        uinv = invert_unimodular(u)
-        prod = [[sum(u[i][k] * uinv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-        assert prod == [[1, 0], [0, 1]]
-
-    def test_non_unimodular_rejected(self):
-        with pytest.raises(InvariantViolation):
-            invert_unimodular([[2, 0], [0, 1]])
 
 
 class TestAdjugate:
@@ -161,6 +175,13 @@ class TestParallelepiped:
         with pytest.raises(ValueError, match="not independent"):
             parallelepiped_points([(1, 1), (2, 2)])
 
+    def test_wrong_transform_detected(self, monkeypatch):
+        # with V replaced by the identity the coset (0, 1/4) maps to (0, -1/4)
+        u, dg, _ = smith_normal_form([[4, 0], [1, -1]])
+        monkeypatch.setattr(exactmath, "smith_normal_form", lambda _: (u, dg, [[1, 0], [0, 1]]))
+        with pytest.raises(InvariantViolation, match="not a lattice point"):
+            parallelepiped_points([(4, 1), (0, -1)])
+
     def test_count_equals_index(self):
         rng = random.Random(7)
         checked = 0
@@ -180,15 +201,36 @@ class TestParallelepiped:
     def test_matches_bounding_box_oracle(self):
         rng = random.Random(11)
         checked = 0
-        while checked < 25:
+        while checked < 40:
             d = rng.choice((2, 3))
-            gens = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(d)]
-            if any(not any(g) for g in gens) or rank(gens) != d:
+            k = rng.randint(1, d) if checked % 2 else d
+            gens = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(k)]
+            if any(not any(g) for g in gens) or rank(gens) != k:
                 continue
             if sublattice_index(gens) > 40:
                 continue
             assert parallelepiped_points(gens) == box_lattice_points(gens)
             checked += 1
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=80)
+    def test_box_properties_random(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(2, 4)
+        k = rng.randint(1, d)
+        while True:
+            gens = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
+            if all(any(g) for g in gens) and rank(gens) == k and sublattice_index(gens) <= 300:
+                break
+        pts = parallelepiped_points(gens)
+        assert len(pts) == sublattice_index(gens)
+        assert len({p for p, _ in pts}) == len(pts)
+        for point, coeffs in pts:
+            assert all(0 <= c < 1 for c in coeffs)
+            rebuilt = tuple(
+                sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0)) for i in range(d)
+            )
+            assert rebuilt == point
 
     def test_reconstruction(self):
         gens = [(3, 1, 0), (0, 2, 1), (0, 0, 2)]

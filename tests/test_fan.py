@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib import cli, serialize
+from toricfib.exactmath import primitive, solve_in_basis
 from toricfib.fan import (
     Cone,
     Fan,
@@ -73,6 +74,32 @@ class TestCone:
         assert cone.contains((4, 1))
         assert not cone.contains((0, 1))
         assert not cone.contains((-1, 0))
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=80)
+    def test_coefficients_match_solve_in_basis(self, seed, rational):
+        rng = random.Random(seed)
+        d = rng.randint(2, 4)
+        k = rng.randint(1, d) if seed % 3 == 0 else d
+
+        def entry():
+            if rational:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            return rng.randint(-9, 9)
+
+        while True:
+            draws = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(k)]
+            try:
+                cone = Cone(tuple(primitive(v) for v in draws), d)
+            except ValueError:
+                continue
+            break
+        weights = [abs(entry()) for _ in range(k)]
+        inside = tuple(sum(w * ray[i] for w, ray in zip(weights, cone.rays)) for i in range(d))
+        anywhere = tuple(entry() for _ in range(d))
+        for v in (inside, anywhere):
+            assert cone.coefficients(v) == solve_in_basis(cone.rays, v)
+        assert cone.contains(inside)
 
 
 class TestMultiplicity:
