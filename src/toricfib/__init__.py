@@ -53,7 +53,6 @@ from .towers import (
     NodeStep,
     ProductStep,
     TowerSpec,
-    projective_model_discrepancy,
     pullback_tower,
     torus_dimension,
     validate,

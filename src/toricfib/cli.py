@@ -4,7 +4,8 @@ one deterministic JSON report to stdout.
 Exit codes: 0 success, 2 invalid input, 3 scan found a non-firing
 singular instance, 4 an internal invariant failed; the last writes one
 JSON error record carrying the arguments to stderr and nothing to stdout.
-When both --in and flags are given, the file wins.
+Giving --in together with any of --d, --r, --eps, --n or --l is invalid
+input.
 The TORICFIB_JOBS environment variable overrides --jobs for scan.
 """
 
@@ -19,7 +20,7 @@ from typing import Any, Mapping, Sequence
 from . import criterion, serialize, surface, towers
 from .divisors import toric_mld, zero_divisor
 from .exactmath import InvariantViolation, is_primitive
-from .models import model_V
+from .models import model_V_mld
 from .serialize import InputError
 
 EXIT_OK = 0
@@ -42,7 +43,11 @@ def _load_json(path: str) -> Mapping[str, Any]:
 
 
 def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
+    required = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
     if args.infile:
+        given = [flag for flag, value in required + (("--l", args.l),) if value is not None]
+        if given:
+            raise InputError(f"--in cannot be combined with {', '.join(given)}")
         doc = _load_json(args.infile)
         try:
             d = doc["d"]
@@ -53,11 +58,7 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
             raise InputError(f"instance file is missing key {exc}") from None
         l = serialize.parse_vector(doc["l"], len(n)) if doc.get("l") is not None else None
     else:
-        missing = [
-            flag
-            for flag, value in (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
-            if value is None
-        ]
+        missing = [flag for flag, value in required if value is None]
         if missing:
             raise InputError(f"missing {', '.join(missing)} (or provide --in)")
         d = args.d
@@ -94,22 +95,22 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_mld(args: argparse.Namespace) -> int:
     if args.fan:
         fan = serialize.fan_from_dict(_load_json(args.fan))
+        d = fan.ambient_dim
+        value, minimizer = toric_mld(fan, zero_divisor(fan))
     elif args.fan_of_v:
         if args.d is None or args.n is None:
             raise InputError("--fan-of-v needs --d and --n")
-        n = serialize.parse_vector(args.n, args.d)
+        d = args.d
+        n = serialize.parse_vector(args.n, d)
         if not is_primitive(n):
             raise InputError("n must be primitive")
         try:
-            fan = model_V(args.d, n).fan
+            value, minimizer = model_V_mld(d, n)
         except ValueError as exc:
             raise InputError(str(exc)) from None
     else:
         raise InputError("either --fan-of-v or --fan is required")
-    value, minimizer = toric_mld(fan, zero_divisor(fan))
-    sys.stdout.write(
-        serialize.dumps(serialize.mld_report_to_dict(fan.ambient_dim, value, minimizer))
-    )
+    sys.stdout.write(serialize.dumps(serialize.mld_report_to_dict(d, value, minimizer)))
     return EXIT_OK
 
 

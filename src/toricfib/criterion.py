@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .divisors import toric_mld, zero_divisor
 from .exactmath import (
     InvariantViolation,
     LatticeVector,
@@ -27,7 +26,7 @@ from .exactmath import (
     ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, model_V, model_W_U, model_Y
+from .models import DecompositionData, model_V, model_V_mld, model_W_U, model_Y
 
 
 @dataclass(frozen=True)
@@ -204,8 +203,7 @@ def _scan_instance(
     args: tuple[int, int, Rat, Rat, LatticeVector],
 ) -> tuple[LatticeVector, bool, CertificateReport | None]:
     d, r, eps, eps_p, n = args
-    v = model_V(d, n)
-    value, minimizer = toric_mld(v.fan, zero_divisor(v.fan))
+    value, minimizer = model_V_mld(d, n)
     if value >= eps_p:
         return n, True, None
     if minimizer[0] <= 0:

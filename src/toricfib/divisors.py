@@ -173,11 +173,14 @@ def support_function(divisor: ToricDivisor) -> SupportFunction:
         if m is None:
             raise InvariantViolation("simplicial cone admitted no support witness")
         witnesses.append((cone, m))
+    # every piece is compared with the first piece at each of its rays,
+    # which by transitivity compares all pieces sharing that ray
+    first: dict[LatticeVector, Rat] = {}
     for cone, m in witnesses:
-        for other, m2 in witnesses:
-            for ray in set(cone.rays) & set(other.rays):
-                if dot(m, ray) != dot(m2, ray):
-                    raise InvariantViolation("support function pieces disagree on a face")
+        for ray in cone.rays:
+            value = dot(m, ray)
+            if first.setdefault(ray, value) != value:
+                raise InvariantViolation("support function pieces disagree on a face")
     return SupportFunction(fan, tuple(witnesses))
 
 

@@ -12,6 +12,8 @@ coefficients the negativity certificate is built from.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -135,11 +137,7 @@ class WUModelResult(NamedTuple):
     data: DecompositionData
 
 
-@lru_cache(maxsize=16)
-def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
-    """The fibration model of a primitive vector n with n_1 > 0: maximal
-    cones are spanned by n together with the (d-1)-subsets of the
-    horizontal rays {e_2, ..., e_d, c}."""
+def _v_vector(d: int, n: Sequence[int]) -> LatticeVector:
     vec = lattice_vector(n)
     if d < 2:
         raise ValueError("models need ambient dimension >= 2")
@@ -149,13 +147,99 @@ def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
         raise ValueError("n must be primitive")
     if vec[0] <= 0:
         raise ValueError("n must have positive first coordinate")
-    basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    horizontal = basis[1:] + [tuple([0] + [-1] * (d - 1))]
+    return vec
+
+
+def _horizontal_rays(d: int) -> list[LatticeVector]:
+    """e_2, ..., e_d and c = -(e_2 + ... + e_d): the rays of the smooth fan
+    of P^{d-1} in the hyperplane x_1 = 0."""
+    return [tuple(int(i == j) for i in range(d)) for j in range(1, d)] + [(0,) + (-1,) * (d - 1)]
+
+
+@lru_cache(maxsize=16)
+def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
+    """The fibration model of a primitive vector n with n_1 > 0: maximal
+    cones are spanned by n together with the (d-1)-subsets of the
+    horizontal rays {e_2, ..., e_d, c}."""
+    vec = _v_vector(d, n)
     cones = [
         Cone((vec,) + subset, d)
-        for subset in itertools.combinations(horizontal, d - 1)
+        for subset in itertools.combinations(_horizontal_rays(d), d - 1)
     ]
     return FibrationModel(Fan(d, tuple(cones)), vec, kind)
+
+
+def _v_cones(
+    vec: LatticeVector, horizontal: list[LatticeVector]
+) -> list[tuple[list[LatticeVector], tuple[int, ...]]]:
+    """For each maximal cone <n, H minus h_j> of the V model, its horizontal
+    rays and the integer coordinates b of n' = n[1:] in them: b = n' when c
+    is dropped; b_i = n'_i - n'_j and b_c = -n'_j when e_j is dropped."""
+    tail = vec[1:]
+    cones = [(horizontal[:-1], tail)]
+    for j, nj in enumerate(tail):
+        b = tuple(ni - nj for i, ni in enumerate(tail) if i != j) + (-nj,)
+        cones.append((horizontal[:j] + horizontal[j + 1 :], b))
+    return cones
+
+
+def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
+    """The minimal log discrepancy of the V model of n with zero boundary
+    and its lexicographically smallest minimizer: exactly what
+    ``toric_mld(model_V(d, n).fan, zero_divisor(...))`` returns, computed in
+    integers from n alone, with no fan, Smith normal form or rational
+    elimination.  Raises the ``ValueError``s of ``model_V``.
+
+    Let H = (e_2, ..., e_d, c) be the horizontal rays and h_j one of them.
+    They span the smooth fan of P^{d-1} in the hyperplane x_1 = 0, so the
+    d-1 rays of H minus h_j are a lattice basis of that hyperplane; let b
+    be the coordinates of n' = n[1:] in it (see ``_v_cones``).
+
+    Claim: for each maximal cone sigma_j = <n, H minus h_j> and each
+    k = 0, ..., n_1 - 1 the half-open box of sigma_j holds exactly one
+    point with first coordinate k.  Proof: a box point is
+    p = g n + sum(alpha_i h_i) with 0 <= g, alpha_i < 1.  The h_i have
+    first coordinate 0, so p_1 = g n_1 and g = k/n_1 for an integer k in
+    [0, n_1).  The rest of p is sum((k b_i / n_1 + alpha_i) h_i), and since
+    the h_i are a lattice basis it is integral exactly when every
+    k b_i / n_1 + alpha_i is an integer.  With 0 <= alpha_i < 1 that forces
+    alpha_i = a_i / n_1 with a_i = (-k b_i) mod n_1, and this choice is a
+    lattice point.  So the point is (k n + sum(a_i h_i)) / n_1 with log
+    discrepancy (k + sum(a_i)) / n_1, and k = 0 gives the origin.
+
+    Every nonzero box point therefore has k >= 1 and value >= 1/n_1, and
+    the rays have value 1, so mld(V_n) >= 1/n_1.
+
+    As in ``toric_mld``, non-primitive points are skipped and the d+1 rays
+    enter with value 1 = n_1/n_1.  All values share the denominator n_1,
+    so the minimum over (numerator, point) is the tie rule of
+    ``toric_mld``.  Every division by n_1 is checked, for every candidate,
+    and a remainder raises ``InvariantViolation``.
+    """
+    vec = _v_vector(d, n)
+    n1 = vec[0]
+    horizontal = _horizontal_rays(d)
+    best = min((n1, ray) for ray in [vec] + horizontal)
+    # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
+    cones = [
+        ([(ni, hs) for ni, *hs in zip(vec, *rays)], b)
+        for rays, b in _v_cones(vec, horizontal)
+    ]
+    mul = operator.mul
+    for k in range(1, n1):
+        for rows, b in cones:
+            a = [(-k * bi) % n1 for bi in b]
+            point = []
+            for ni, hs in rows:
+                q, rem = divmod(k * ni + sum(map(mul, a, hs)), n1)
+                if rem:
+                    raise InvariantViolation("a V-model box point is not a lattice point")
+                point.append(q)
+            if math.gcd(*point) == 1:
+                candidate = (k + sum(a), tuple(point))
+                if candidate < best:
+                    best = candidate
+    return Fraction(best[0], n1), best[1]
 
 
 def vertical_rays(fan: Fan) -> tuple[LatticeVector, ...]:

@@ -10,11 +10,7 @@ is exactly what base change to a one-dimensional germ transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-from .divisors import ToricDivisor, log_discrepancy
-from .exactmath import Rat, lattice_vector
-from .fan import standard_fibration_fan
+from typing import Union
 
 
 @dataclass(frozen=True)
@@ -186,17 +182,3 @@ def pullback_tower(spec: TowerSpec, germ: GermData) -> TowerSpec:
             order = 0
         steps.append(NodeStep(step.alpha_exponents, (order,)))
     return TowerSpec(p=1, steps=tuple(steps))
-
-
-def projective_model_discrepancy(
-    spec: TowerSpec, d: int, l: Sequence[int]
-) -> Rat:
-    """Log discrepancy of a toric valuation with respect to the projective
-    bundle model of the tower with its full boundary: the boundary carries
-    coefficient one on every ray, so every valuation in the support has
-    discrepancy zero."""
-    if d != spec.top_level:
-        raise ValueError("d does not match the tower height")
-    fan = standard_fibration_fan(d)
-    boundary = ToricDivisor.make(fan, {ray: 1 for ray in fan.rays})
-    return log_discrepancy(fan, boundary, lattice_vector(l))

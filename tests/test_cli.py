@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricfib import cli
 from toricfib.exactmath import InvariantViolation
 
@@ -28,3 +30,86 @@ def test_success_writes_only_the_report(capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert json.loads(out)["kind"] == "certificate"
+
+
+# The exact stdout of `mld --fan-of-v`, as computed by toric_mld on the fan
+# of model_V before the closed form replaced it.
+MLD_REPORT = """{
+  "d": %d,
+  "kind": "mld",
+  "legend": {
+    "minimizer": "lexicographically smallest primitive vector attaining it",
+    "mld": "minimal log discrepancy over the primitive vectors of the support"
+  },
+  "minimizer": [
+%s
+  ],
+  "mld": "%s",
+  "schema_version": 1
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "n,mld,minimizer",
+    [
+        ("1,0", "1", (0, -1)),
+        ("1,5", "1", (0, -1)),
+        ("5,1", "2/5", (1, 0)),
+        ("7,-3", "3/7", (2, -1)),
+        ("12,5", "1/3", (2, 1)),
+        ("1,0,0", "1", (0, -1, -1)),
+        ("1,-4,7", "1", (0, -1, -1)),
+        ("3,1,1", "2/3", (1, 0, 0)),
+        ("8,-3,5", "1/2", (2, -1, 1)),
+        ("109,1,1", "2/109", (1, 0, 0)),
+        ("1,0,0,0", "1", (0, -1, -1, -1)),
+        ("5,2,-1,3", "1", (0, -1, -1, -1)),
+        ("7,1,1,1", "2/7", (1, 0, 0, 0)),
+        ("12,-5,7,3", "1", (0, -1, -1, -1)),
+    ],
+)
+def test_mld_fan_of_v_golden(capsys, n, mld, minimizer):
+    d = n.count(",") + 1
+    assert cli.main(["mld", "--fan-of-v", "--d", str(d), f"--n={n}"]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    lines = ",\n".join(f"    {x}" for x in minimizer)
+    assert out == MLD_REPORT % (d, lines, mld)
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "d,n,message",
+    [
+        (2, "2,4", "n must be primitive"),
+        (3, "6,4,2", "n must be primitive"),
+        (2, "0,1", "n must have positive first coordinate"),
+        (2, "-1,2", "n must have positive first coordinate"),
+        (3, "0,0,1", "n must have positive first coordinate"),
+        (1, "1", "models need ambient dimension >= 2"),
+    ],
+)
+def test_mld_fan_of_v_rejects_bad_n(capsys, d, n, message):
+    assert cli.main(["mld", "--fan-of-v", "--d", str(d), f"--n={n}"]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--d", "2"], "--d"),
+        (["--l", "1,0"], "--l"),
+        (["--r", "1", "--eps", "1/2", "--n", "5,1"], "--r, --eps, --n"),
+    ],
+)
+def test_in_conflicts_with_flags(tmp_path, capsys, flags, named):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"d": 2, "r": 1, "eps": "1/2", "n": [5, 1], "l": [1, 0]}))
+    assert cli.main(["certify", "--in", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["certify", "--in", str(path)] + flags) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --in cannot be combined with {named}\n"

@@ -21,7 +21,7 @@ from toricfib.divisors import (
     toric_mld,
     zero_divisor,
 )
-from toricfib.exactmath import dot
+from toricfib.exactmath import InvariantViolation, dot
 from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan, star_subdivide
 from toricfib.models import model_V
 from oracles import brute_force_mld
@@ -82,6 +82,21 @@ class TestSupportFunction:
         fan = standard_fibration_fan(2)
         with pytest.raises(ValueError, match="support"):
             support_function(zero_divisor(fan)).value((-1, 0))
+
+    def test_corrupted_witness_detected(self, monkeypatch):
+        fan = model_V(3, (4, 1, -2)).fan
+        corrupt = fan.maximal_cones[1]
+        solve = divisors.solve_linear_system
+
+        def corrupted(rows, rhs):
+            m = solve(rows, rhs)
+            if tuple(map(tuple, rows)) == corrupt.rays:
+                m = (m[0] + 1,) + m[1:]
+            return m
+
+        monkeypatch.setattr(divisors, "solve_linear_system", corrupted)
+        with pytest.raises(InvariantViolation, match="disagree"):
+            support_function(zero_divisor(fan))
 
 
 class TestLogDiscrepancy:

@@ -1,15 +1,21 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricfib.divisors import zero_divisor
-from toricfib.exactmath import InvariantViolation, is_primitive
+from toricfib import models
+from toricfib.criterion import primitive_family
+from toricfib.divisors import toric_mld, zero_divisor
+from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.fan import multiplicity, standard_fibration_fan
 from toricfib.models import (
     DecompositionData,
     log_canonical_class_split,
     model_V,
+    model_V_mld,
     model_W_U,
     model_Y,
     verify_extraction_identities,
@@ -53,6 +59,73 @@ class TestModelV:
             model_V(2, (0, 1))
         with pytest.raises(ValueError, match="positive first"):
             model_V(2, (-1, 2))
+
+
+def general_mld(d, n):
+    """The oracle: toric_mld on the fan model_V builds."""
+    fan = model_V(d, n).fan
+    return toric_mld(fan, zero_divisor(fan))
+
+
+class TestModelVMld:
+    def test_d2_bound_40_family(self):
+        for n in primitive_family(2, 40):
+            assert model_V_mld(2, n) == general_mld(2, n)
+
+    def test_d3_bound_4_family(self):
+        for n in primitive_family(3, 4):
+            assert model_V_mld(3, n) == general_mld(3, n)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_toric_mld(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        top = 40 if d == 4 else 150
+        while True:
+            n = (rng.randint(1, top),) + tuple(rng.randint(-top, top) for _ in range(d - 1))
+            if is_primitive(n):
+                break
+        value, minimizer = model_V_mld(d, n)
+        expected_value, expected_minimizer = general_mld(d, n)
+        assert value == expected_value
+        assert minimizer == expected_minimizer
+        assert value >= Fraction(1, n[0])
+
+    @pytest.mark.parametrize("n", [(1, 0, 0), (5, 2, -3), (12, 7, 1), (6, -1, 4, 9)])
+    def test_one_box_point_per_cone_and_slice(self, n):
+        for cone in model_V(len(n), n).fan.maximal_cones:
+            slices = sorted(point[0] for point, _ in parallelepiped_points(cone.rays))
+            assert slices == list(range(n[0]))
+
+    @pytest.mark.parametrize(
+        "d,n",
+        [
+            (1, (1,)),
+            (2, (1, 0, 0)),
+            (2, (2, 4)),
+            (3, (0, 0, 0)),
+            (2, (0, 1)),
+            (2, (-1, 2)),
+            (2, (1.0, 0)),
+        ],
+    )
+    def test_rejects_what_model_V_rejects(self, d, n):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            model_V(d, n)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            model_V_mld(d, n)
+
+    def test_corrupted_coordinates_trip_the_division_check(self, monkeypatch):
+        cones = models._v_cones
+
+        def corrupted(vec, horizontal):
+            (rays, b), *rest = cones(vec, horizontal)
+            return [(rays, (b[0] + 1,) + b[1:])] + rest
+
+        monkeypatch.setattr(models, "_v_cones", corrupted)
+        with pytest.raises(InvariantViolation, match="not a lattice point"):
+            model_V_mld(2, (5, 1))
 
 
 class TestModelY:
