@@ -28,7 +28,7 @@ from .exactmath import (
     lattice_vector,
     parallelepiped_points,
     rational_vector,
-    solve_linear_system,
+    solve_in_basis,
 )
 from .fan import Cone, Fan, smallest_containing_cone, star_subdivide
 
@@ -160,27 +160,19 @@ class SupportFunction:
 def support_function(divisor: ToricDivisor) -> SupportFunction:
     """The support function of a divisor on a simplicial fan.
 
-    On simplicial cones the defining linear systems are always solvable, so
-    every divisor here is Q-Cartier; pieces agreeing at shared rays agree on
-    shared faces automatically, and that agreement is re-asserted.
+    Every maximal cone is full dimensional, so each piece is read off the
+    cone's cached inverse and every divisor here is Q-Cartier.  Each piece
+    is checked to take the value -coeff(u) at each of its rays u, so pieces
+    sharing a ray agree there, and hence on shared faces.
     """
     fan = divisor.fan
     witnesses = []
     for cone in fan.maximal_cones:
-        rows = [rational_vector(r) for r in cone.rays]
-        rhs = [-divisor.coefficient(r) for r in cone.rays]
-        m = solve_linear_system(rows, rhs)
-        if m is None:
-            raise InvariantViolation("simplicial cone admitted no support witness")
+        values = [-divisor.coefficient(r) for r in cone.rays]
+        m = cone.functional(values)
+        if any(dot(m, ray) != value for ray, value in zip(cone.rays, values)):
+            raise InvariantViolation("support function pieces disagree on a face")
         witnesses.append((cone, m))
-    # every piece is compared with the first piece at each of its rays,
-    # which by transitivity compares all pieces sharing that ray
-    first: dict[LatticeVector, Rat] = {}
-    for cone, m in witnesses:
-        for ray in cone.rays:
-            value = dot(m, ray)
-            if first.setdefault(ray, value) != value:
-                raise InvariantViolation("support function pieces disagree on a face")
     return SupportFunction(fan, tuple(witnesses))
 
 
@@ -303,6 +295,6 @@ def rel_lin_equiv(
     if first.fan != fan or second.fan != fan:
         raise ValueError("divisors live on a different fan")
     diff = first - second
-    rows = [rational_vector(r) for r in fan.rays]
-    rhs = [-diff.coefficient(r) for r in fan.rays]
-    return solve_linear_system(rows, rhs)
+    # the columns of the ray matrix are independent: every fan is full dimensional
+    columns = [tuple(r[i] for r in fan.rays) for i in range(fan.ambient_dim)]
+    return solve_in_basis(columns, [-diff.coefficient(r) for r in fan.rays])

@@ -74,45 +74,19 @@ def is_primitive(v: Sequence[int]) -> bool:
     return any(e != 0 for e in vec) and primitive(vec) == vec
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` in place to reduced row echelon form.
+def _bareiss(rows: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
-    Returns the pivot column indices in order.
+    Returns the pivot columns in order; the i-th pivot sits in row i, and
+    the rows below the last pivot are zero.  Each update divides by the
+    previous pivot; the division is exact because every entry is then a
+    minor of the pivot columns so far and its own column (Bareiss, *Math.
+    Comp.* 22, 1968).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of integer vectors by fraction-free (Bareiss) elimination.
-
-    Each update divides by the previous pivot; the division is exact
-    because every entry is then a minor of the pivot columns so far and
-    its own column.
-    """
-    rows = [list(lattice_vector(v)) for v in vectors]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
     prev = 1
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
@@ -123,8 +97,13 @@ def rank(vectors: Sequence[Sequence[int]]) -> int:
             f = rows[i][c]
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of integer vectors: the number of Bareiss pivots."""
+    return len(_bareiss([list(lattice_vector(v)) for v in vectors]))
 
 
 def solve_in_basis(
@@ -136,6 +115,13 @@ def solve_in_basis(
     The generators must be linearly independent over Q (else ValueError).
     Returns the unique coefficient vector when the target lies in their
     span, and None otherwise.
+
+    The target is scaled to integers by the lcm of its denominators, and
+    the augmented matrix [G | t] with the generators as columns is brought
+    to echelon form by Bareiss elimination: the generators are independent
+    exactly when their k columns are all pivots, and the target lies in
+    their span exactly when its column is not.  The k triangular rows are
+    then solved from the bottom up.
     """
     gens = [lattice_vector(g) for g in generators]
     if not gens:
@@ -147,77 +133,19 @@ def solve_in_basis(
     if len(tgt) != d:
         raise ValueError("target dimension mismatch")
     k = len(gens)
-    if k == d:
-        # Cramer over integers: much faster than rational elimination.
-        base = det([[g[i] for g in gens] for i in range(d)])
-        if base == 0:
-            raise ValueError("generators not independent")
-        scale = math.lcm(*(t.denominator for t in tgt))
-        tint = [int(t * scale) for t in tgt]
-        sol = []
-        for j in range(k):
-            columns = [[tint[i] if jj == j else gens[jj][i] for jj in range(k)] for i in range(d)]
-            sol.append(Fraction(det(columns), base * scale))
-        return tuple(sol)
-    rows = [[Fraction(g[i]) for g in gens] + [tgt[i]] for i in range(d)]
-    pivots = _row_reduce(rows)
-    if len([p for p in pivots if p < k]) < k:
+    scale = math.lcm(*(t.denominator for t in tgt))
+    rows = [[g[i] for g in gens] + [int(tgt[i] * scale)] for i in range(d)]
+    pivots = _bareiss(rows)
+    if pivots[:k] != list(range(k)):
         raise ValueError("generators not independent")
-    if k in pivots:
+    if len(pivots) > k:
         return None
-    sol = [Fraction(0)] * k
-    for r, p in enumerate(pivots):
-        sol[p] = rows[r][k]
-    return tuple(sol)
-
-
-def solve_linear_system(
-    rows_in: Sequence[Sequence[int | Fraction]],
-    rhs: Sequence[int | Fraction],
-) -> RationalVector | None:
-    """A particular solution x of <row_i, x> = rhs_i, or None if inconsistent.
-
-    Free variables are set to zero; the system may be under- or
-    over-determined.
-    """
-    if len(rows_in) != len(rhs):
-        raise ValueError("system shape mismatch")
-    if not rows_in:
-        raise ValueError("empty system")
-    d = len(rows_in[0])
-    if len(rows_in) == d:
-        rows_int = []
-        for row in rows_in:
-            ints = []
-            for e in row:
-                if isinstance(e, int):
-                    ints.append(e)
-                elif isinstance(e, Fraction) and e.denominator == 1:
-                    ints.append(int(e))
-                else:
-                    break
-            else:
-                rows_int.append(ints)
-                continue
-            break
-        if len(rows_int) == d:
-            base = det(rows_int)
-            if base != 0:
-                # invertible square integer system: solve through the adjugate
-                adj = adjugate(rows_int)
-                rhs_f = [ensure_rational(b) for b in rhs]
-                return tuple(
-                    sum((adj[i][k] * rhs_f[k] for k in range(d)), Fraction(0)) / base
-                    for i in range(d)
-                )
-    aug = [[Fraction(e) for e in row] + [ensure_rational(b)] for row, b in zip(rows_in, rhs)]
-    pivots = _row_reduce(aug)
-    if d in pivots:
-        return None
-    sol = [Fraction(0)] * d
-    for r, p in enumerate(pivots):
-        sol[p] = aug[r][d]
-    return tuple(sol)
+    sol: list[Fraction] = [Fraction(0)] * k
+    for j in reversed(range(k)):
+        row = rows[j]
+        rest = sum(row[i] * sol[i] for i in range(j + 1, k))
+        sol[j] = Fraction(row[k] - rest, row[j])
+    return tuple(x / scale for x in sol)
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:

@@ -47,8 +47,8 @@ class Cone:
     Rays are stored sorted, so equality and hashing are order-free.  A
     full-dimensional cone computes the integer inverse of its ray matrix
     once, as (adjugate, determinant), and answers ``coefficients``,
-    ``contains`` and ``facet_normals`` from it; a lower-dimensional cone
-    solves in the span of its rays.
+    ``functional``, ``contains`` and ``facet_normals`` from it; a
+    lower-dimensional cone solves in the span of its rays.
     """
 
     rays: tuple[LatticeVector, ...]
@@ -93,6 +93,16 @@ class Cone:
             raise ValueError("target dimension mismatch")
         adj, base = self._inverse
         return tuple(Fraction(sum(a * x for a, x in zip(row, vec)), base) for row in adj)
+
+    def functional(self, values: Sequence[int | Fraction]) -> RationalVector:
+        """The linear functional of a full-dimensional cone taking the i-th
+        value at the i-th ray: the combination of the rows of the inverse
+        ray matrix, adj / det, with the values as weights."""
+        adj, base = self._inverse
+        return tuple(
+            Fraction(sum(x * row[j] for x, row in zip(values, adj)), base)
+            for j in range(self.ambient_dim)
+        )
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
         coeffs = self.coefficients(v)

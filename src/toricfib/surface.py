@@ -26,7 +26,7 @@ from .divisors import (
     zero_divisor,
 )
 from .exactmath import LatticeVector, Rat, ensure_rational, lattice_vector
-from .fan import Cone, Fan, multiplicity, standard_fibration_fan, star_subdivide
+from .fan import Cone, Fan, multiplicity, standard_fibration_fan
 from .models import FibrationModel, model_V, model_Y
 
 
@@ -111,44 +111,29 @@ def intersect(model: SurfaceModel, divisor: ToricDivisor, ray: Sequence[int]) ->
 
 @dataclass(frozen=True)
 class ChainModels:
-    """The blowup chain realizing the vector (n, 1) over the standard
-    surface fan, with the contractions down to Y and V."""
+    """The standard surface fan X and the two contractions Y and V of the
+    blowup chain over it that realizes the vector (n, 1)."""
 
     n: int
     x: FibrationModel
     y: FibrationModel
     v: FibrationModel
-    trace: tuple[Fan, ...]
 
 
-@functools.lru_cache(maxsize=None)
-def _blowup_chain(n: int) -> tuple[Fan, ...]:
-    # successive chains are nested, so grow the previous one by one step
-    if n == 0:
-        return (standard_fibration_fan(2),)
-    prev = _blowup_chain(n - 1)
-    return prev + (star_subdivide(prev[-1], (n, 1)),)
-
-
-@functools.lru_cache(maxsize=None)
 def example_models(n: int) -> ChainModels:
-    """Blow up n times, starting at the meeting point of the rays (0, 1)
-    and (1, 0) and continuing against (1, 0), so the last inserted ray is
-    (n, 1); then contract everything but (n, 1) to get Y, and also (1, 0)
-    to get V.  Records every intermediate fan."""
+    """Blowing up X n times, starting at the meeting point of the rays
+    (0, 1) and (1, 0) and continuing against (1, 0), inserts the rays
+    (1, 1), ..., (n, 1); contracting all of them but (n, 1) gives Y, and
+    contracting (1, 0) as well gives V.  Y and V are built directly."""
     if n < 1:
         raise ValueError("the chain needs n >= 1 blowups")
-    trace = list(_blowup_chain(n))
     y_fan = SurfaceModel(((0, 1), (n, 1), (1, 0), (0, -1))).fan
-    trace.append(y_fan)
     v_fan = SurfaceModel(((0, 1), (n, 1), (0, -1))).fan
-    trace.append(v_fan)
     return ChainModels(
         n=n,
-        x=FibrationModel(trace[0], (1, 0), "X"),
+        x=FibrationModel(standard_fibration_fan(2), (1, 0), "X"),
         y=FibrationModel(y_fan, (n, 1), "Y"),
         v=FibrationModel(v_fan, (n, 1), "V"),
-        trace=tuple(trace),
     )
 
 
@@ -176,7 +161,6 @@ class ChainReport:
         return self.a_ok and self.d_dot_t_ok and self.pairing_ok and self.coincidence_ok
 
 
-@functools.lru_cache(maxsize=None)
 def example_verify(n: int, r: int, eps: int | Rat) -> ChainReport:
     """Check the chain family against its closed forms: a = 2/n,
     D.T = 1, (K_Y + theta).T = -eps + 2r/n, and certificate fires exactly

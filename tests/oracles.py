@@ -164,3 +164,24 @@ def lp_meet_in_common_face(c1: Cone, c2: Cone) -> bool:
         )
     best, _ = lpmax(outside, constraints)
     return best == 0
+
+
+def surface_intersection(
+    rays: list[LatticeVector], coefficients: dict[LatticeVector, Fraction], ray: LatticeVector
+) -> Fraction:
+    """Intersection of sum(c_v D_v) with the curve of the interior ray u of
+    a 2-dimensional fan whose rays are listed in angular order, from the
+    neighbours u_-, u_+ of u alone: D_{u_-}.C_u = 1/|det(u_-, u)|,
+    D_{u_+}.C_u = 1/|det(u, u_+)|, D_u.C_u = -|det(u_-, u_+)| / (|det(u_-,
+    u)| |det(u, u_+)|), and every other D_v misses C_u.  The self
+    intersection follows from the other two because every character
+    divisor pairs to zero with C_u."""
+    i = rays.index(ray)
+    before, after = rays[i - 1], rays[i + 1]
+    left = abs(det([before, ray]))
+    right = abs(det([ray, after]))
+    return (
+        Fraction(coefficients.get(before, 0), left)
+        + Fraction(coefficients.get(after, 0), right)
+        - Fraction(coefficients.get(ray, 0) * abs(det([before, after])), left * right)
+    )

@@ -113,3 +113,51 @@ def test_in_conflicts_with_flags(tmp_path, capsys, flags, named):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --in cannot be combined with {named}\n"
+
+
+# The exact stdout of `example`, recorded while the chain models were still
+# built through every intermediate blowup.
+EXAMPLE_REPORT = """{
+  "a": "%s",
+  "a_ok": true,
+  "all_pass": true,
+  "coincidence_ok": true,
+  "d_dot_t": "1",
+  "d_dot_t_ok": true,
+  "eps": "%s",
+  "fires": %s,
+  "kind": "chain",
+  "legend": {
+    "a": "log discrepancy of the contracted divisor on V; closed form 2/n",
+    "coincidence_ok": "certificate fires exactly when the pairing is negative",
+    "d_dot_t": "pairing of D with the transformed fiber divisor; closed form 1",
+    "pairing": "pairing of K_Y + theta with the transformed fiber divisor; closed form -eps + 2r/n"
+  },
+  "n": %d,
+  "pairing": "%s",
+  "pairing_ok": true,
+  "r": %d,
+  "schema_version": 1
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "n,r,eps,a,fires,pairing",
+    [
+        (2, 1, "1/2", "1", "false", "1/2"),
+        (3, 1, "1/2", "2/3", "false", "1/6"),
+        (5, 2, "1/3", "2/5", "false", "7/15"),
+        (7, 3, "2/5", "2/7", "false", "16/35"),
+        (12, 2, "1/3", "1/6", "false", "0"),
+        (40, 2, "1/3", "1/20", "true", "-7/30"),
+        (60, 1, "1", "1/30", "true", "-29/30"),
+        (120, 3, "1/7", "1/60", "true", "-13/140"),
+        (200, 2, "1/3", "1/100", "true", "-47/150"),
+    ],
+)
+def test_example_golden(capsys, n, r, eps, a, fires, pairing):
+    assert cli.main(["example", "--n", str(n), "--r", str(r), "--eps", eps]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == EXAMPLE_REPORT % (a, eps, fires, n, pairing, r)
+    assert err == ""

@@ -84,19 +84,18 @@ class TestSupportFunction:
             support_function(zero_divisor(fan)).value((-1, 0))
 
     def test_corrupted_witness_detected(self, monkeypatch):
-        fan = model_V(3, (4, 1, -2)).fan
+        # a fan of fresh cones, so the corruption cannot reach the cones
+        # cached by model_V; the canonical divisor is nonzero at every ray,
+        # so a corrupted inverse changes the piece
+        fan = Fan(3, tuple(Cone(c.rays, 3) for c in model_V(3, (4, 1, -2)).fan.maximal_cones))
+        divisor = canonical_divisor(fan)
+        support_function(divisor)
         corrupt = fan.maximal_cones[1]
-        solve = divisors.solve_linear_system
-
-        def corrupted(rows, rhs):
-            m = solve(rows, rhs)
-            if tuple(map(tuple, rows)) == corrupt.rays:
-                m = (m[0] + 1,) + m[1:]
-            return m
-
-        monkeypatch.setattr(divisors, "solve_linear_system", corrupted)
+        adj, base = corrupt._inverse
+        wrong = [[adj[0][0] + 1] + adj[0][1:]] + adj[1:]
+        monkeypatch.setitem(corrupt.__dict__, "_inverse", (wrong, base))
         with pytest.raises(InvariantViolation, match="disagree"):
-            support_function(zero_divisor(fan))
+            support_function(divisor)
 
 
 class TestLogDiscrepancy:

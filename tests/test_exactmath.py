@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import Matrix, Rational
 
 from toricfib import exactmath
 from toricfib.exactmath import (
@@ -16,7 +16,6 @@ from toricfib.exactmath import (
     rank,
     smith_normal_form,
     solve_in_basis,
-    solve_linear_system,
     sublattice_index,
 )
 from oracles import box_lattice_points
@@ -76,6 +75,19 @@ class TestSolveInBasis:
         with pytest.raises(ValueError, match="not independent"):
             solve_in_basis([(1, 0), (0, 1), (1, 1)], (1, 0))
 
+    # Square and overdetermined systems, as rel_lin_equiv poses them: the
+    # rows are rays, so the generators are the columns.
+    def test_unique_solution(self):
+        assert solve_in_basis([(1, 0), (0, 2)], (3, 4)) == (3, 2)
+
+    def test_inconsistent_returns_none(self):
+        assert solve_in_basis([(1, 1, 0), (0, 0, 1)], (1, 2, 0)) is None
+
+    def test_underdetermined_system_rejected(self):
+        # x + y = 5 in three unknowns: more generators than coordinates
+        with pytest.raises(ValueError, match="not independent"):
+            solve_in_basis([(1,), (1,), (0,)], (5,))
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60)
     def test_reconstruction_random(self, seed):
@@ -91,6 +103,46 @@ class TestSolveInBasis:
             sum((c * g[i] for c, g in zip(coeffs, gens)), Fraction(0)) for i in range(d)
         )
         assert solve_in_basis(gens, target) == tuple(coeffs)
+
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150)
+    def test_matches_sympy(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            # k generators in Q^d
+            length, k = d, rng.randint(1, d)
+        else:
+            # the d columns of a (rays x d) matrix, as in rel_lin_equiv
+            length, k = d + rng.randint(0, 4), d
+        gens = [[rng.randint(-6, 6) for _ in range(length)] for _ in range(k)]
+        if k > 1 and rng.random() < 0.25:
+            # one generator a combination of the others: dependent
+            j = rng.randrange(k)
+            weights = [0 if jj == j else rng.randint(-2, 2) for jj in range(k)]
+            gens[j] = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(length)]
+        if rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)]
+            target = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(length)]
+        else:
+            target = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(length)]
+        target = [int(t) if t.denominator == 1 and rng.random() < 0.5 else t for t in target]
+        matrix = Matrix(length, k, lambda i, j: gens[j][i])
+        rhs = Matrix(length, 1, lambda i, _: Rational(target[i].numerator, target[i].denominator))
+        if matrix.rank() < k:
+            with pytest.raises(ValueError, match="not independent"):
+                solve_in_basis(gens, target)
+            return
+        try:
+            expected, params = matrix.gauss_jordan_solve(rhs)
+        except ValueError:
+            assert solve_in_basis(gens, target) is None
+            return
+        assert not params
+        assert solve_in_basis(gens, target) == tuple(
+            Fraction(int(x.p), int(x.q)) for x in expected
+        )
 
 
 class TestRank:
@@ -240,16 +292,3 @@ class TestParallelepiped:
             )
             assert rebuilt == point
             assert all(0 <= c < 1 for c in coeffs)
-
-
-class TestSolveLinearSystem:
-    def test_unique_solution(self):
-        assert solve_linear_system([(1, 0), (0, 2)], (3, 4)) == (3, 2)
-
-    def test_inconsistent_returns_none(self):
-        assert solve_linear_system([(1, 0), (1, 0)], (1, 2)) is None
-
-    def test_underdetermined_particular_solution(self):
-        sol = solve_linear_system([(1, 1, 0)], (5,))
-        assert sol is not None
-        assert sum(sol[:2]) == 5
