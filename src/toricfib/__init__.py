@@ -1,6 +1,6 @@
 """Exact toolkit for toric fibrations over the affine line: fans and
 models, log discrepancies and fiber multiplicities, the negativity
-certificate, surface intersection numbers, and tower bookkeeping."""
+certificate and surface intersection numbers."""
 
 from .exactmath import (
     InvariantViolation,
@@ -47,15 +47,6 @@ from .criterion import (
     epsilon_prime,
     scan,
     verify_explicit_bounds,
-)
-from .towers import (
-    GermData,
-    NodeStep,
-    ProductStep,
-    TowerSpec,
-    pullback_tower,
-    torus_dimension,
-    validate,
 )
 from .surface import ChainModels, ChainReport, SurfaceModel, example_models, example_verify, intersect
 

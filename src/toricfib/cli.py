@@ -5,19 +5,17 @@ Exit codes: 0 success, 2 invalid input, 3 scan found a non-firing
 singular instance, 4 an internal invariant failed; the last writes one
 JSON error record carrying the arguments to stderr and nothing to stdout.
 Giving --in together with any of --d, --r, --eps, --n or --l is invalid
-input.
-The TORICFIB_JOBS environment variable overrides --jobs for scan.
+input, and so is giving mld's --fan together with --fan-of-v, --d or --n.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Mapping, Sequence
 
-from . import criterion, serialize, surface, towers
+from . import criterion, serialize, surface
 from .divisors import toric_mld, zero_divisor
 from .exactmath import InvariantViolation, is_primitive
 from .models import model_V_mld
@@ -94,6 +92,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_mld(args: argparse.Namespace) -> int:
     if args.fan:
+        others = (("--fan-of-v", args.fan_of_v or None), ("--d", args.d), ("--n", args.n))
+        given = [flag for flag, value in others if value is not None]
+        if given:
+            raise InputError(f"--fan cannot be combined with {', '.join(given)}")
         fan = serialize.fan_from_dict(_load_json(args.fan))
         d = fan.ambient_dim
         value, minimizer = toric_mld(fan, zero_divisor(fan))
@@ -120,55 +122,18 @@ def _cmd_example(args: argparse.Namespace) -> int:
         report = surface.example_verify(args.n, args.r, eps)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    sys.stdout.write(serialize.dumps(serialize.chain_report_to_dict(report)))
+    sys.stdout.write(serialize.dumps(serialize.encode(report)))
     return EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     eps = serialize.parse_rational(args.eps)
-    jobs = args.jobs
-    env_jobs = os.environ.get("TORICFIB_JOBS")
-    if env_jobs is not None:
-        try:
-            jobs = int(env_jobs)
-        except ValueError:
-            raise InputError("TORICFIB_JOBS must be an integer") from None
     try:
-        summary = criterion.scan(args.d, args.r, eps, args.bound, jobs=jobs)
+        summary = criterion.scan(args.d, args.r, eps, args.bound, jobs=args.jobs)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     sys.stdout.write(serialize.dumps(serialize.scan_summary_to_dict(summary)))
     return EXIT_OK if summary.ok else EXIT_SCAN_FAILURE
-
-
-def _cmd_tower(args: argparse.Namespace) -> int:
-    doc = _load_json(args.infile)
-    spec = serialize.tower_from_dict(doc.get("tower", doc))
-    if args.tower_command == "validate":
-        diagnostics = towers.validate(spec)
-        sys.stdout.write(serialize.dumps(serialize.diagnostics_to_dict(spec, diagnostics)))
-        return EXIT_OK
-    # pullback
-    if "germ" not in doc:
-        raise InputError("tower pullback needs a 'germ' object")
-    germ = serialize.germ_from_dict(doc["germ"])
-    errors = towers.validation_errors(spec)
-    if errors:
-        raise InputError("; ".join(d.message for d in errors))
-    try:
-        pulled = towers.pullback_tower(spec, germ)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    sys.stdout.write(
-        serialize.dumps(
-            {
-                "schema_version": serialize.SCHEMA_VERSION,
-                "kind": "tower-pullback",
-                "tower": serialize.tower_to_dict(pulled),
-            }
-        )
-    )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--bound", type=int, required=True)
     scan.add_argument("--jobs", type=int, default=None)
     scan.set_defaults(handler=_cmd_scan)
-
-    tower = sub.add_parser("tower", help="validate or base-change a tower description")
-    tower_sub = tower.add_subparsers(dest="tower_command", required=True)
-    for name in ("validate", "pullback"):
-        leaf = tower_sub.add_parser(name)
-        leaf.add_argument("--in", dest="infile", type=str, required=True)
-        leaf.set_defaults(handler=_cmd_tower)
 
     return parser
 

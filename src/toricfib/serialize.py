@@ -1,15 +1,18 @@
 """JSON encoding for reports and input files.
 
 Rationals travel as exact lowest-terms strings ("2/5", "-3", "1"); floats
-are rejected everywhere.  Report documents carry schema_version 1 and a
-legend describing each quantity; emission is deterministic (sorted keys),
-and parse(emit(x)) returns an equal object.
+are rejected everywhere.  Every report is a dataclass written by one
+encoder, ``encode``: a report becomes a document carrying schema_version 1,
+its kind and a legend describing each quantity, and a report nested inside
+another keeps that envelope.  Emission is deterministic (sorted keys).
+Reports are output only; nothing reads them back in.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -17,7 +20,6 @@ from .criterion import CertificateReport, ExplicitBounds, ScanSummary
 from .exactmath import LatticeVector, Rat
 from .fan import Cone, Fan
 from .surface import ChainReport
-from .towers import Diagnostic, GermData, NodeStep, ProductStep, TowerSpec
 
 SCHEMA_VERSION = 1
 
@@ -26,10 +28,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 class InputError(ValueError):
     """Malformed user input (bad rational, non-primitive vector, ...)."""
-
-
-def rational_to_str(value: Rat) -> str:
-    return str(Fraction(value))
 
 
 def parse_rational(text: Any) -> Rat:
@@ -58,237 +56,105 @@ def parse_vector(value: Any, expected_dim: int | None = None) -> LatticeVector:
     return entries
 
 
-def _coeff_table(entries: Sequence[tuple[LatticeVector, Rat]]) -> list[list[Any]]:
-    return [[list(ray), rational_to_str(c)] for ray, c in entries]
+@dataclass(frozen=True)
+class MldReport:
+    """The mld of a fan (with zero boundary) and its minimizer."""
+
+    d: int
+    mld: Rat
+    minimizer: LatticeVector
 
 
-def _parse_coeff_table(value: Any) -> tuple[tuple[LatticeVector, Rat], ...]:
-    out = []
-    for item in value:
-        ray, coeff = item
-        out.append((parse_vector(ray), parse_rational(coeff)))
-    return tuple(out)
-
-
-CERTIFICATE_LEGEND = {
-    "n": "primitive vector of the fiber support divisor T on the model V",
-    "l": "primitive vector of the extracted divisor D",
-    "a": "log discrepancy of D with respect to (V, 0)",
-    "gamma": "coefficient of n when l is written on its smallest cone; equals l_1/n_1",
-    "alphas": "horizontal-ray coefficients of that decomposition",
-    "lambda": "coefficient of l in the swapped decomposition; equals n_1/l_1 = 1/gamma",
-    "betas": "horizontal-ray coefficients of the swapped decomposition",
-    "u": "(r - 1) times the sum of the alphas",
-    "eps_prime": "threshold eps/(3 d r) below which the explicit bounds apply",
-    "lhs": "eps - a - u",
-    "rhs": "(r - 1) times the sum of gamma * beta_k",
-    "fires": "strict inequality lhs > rhs: the transformed fiber divisor is"
-    " certified inside the divisorial negative part of K_Y + theta over the base",
-    "bounds": "explicit sufficient bounds, evaluated only when a < eps_prime",
-}
-
-
-def certificate_to_dict(report: CertificateReport) -> dict[str, Any]:
-    bounds: Any = None
-    if report.bounds is not None:
-        bounds = {
-            "u_bounded": report.bounds.u_bounded,
-            "beta_terms_bounded": report.bounds.beta_terms_bounded,
-            "margin_strict": report.bounds.margin_strict,
-            "all_hold": report.bounds.all_hold,
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "certificate",
-        "d": report.d,
-        "r": report.r,
-        "eps": rational_to_str(report.eps),
-        "eps_prime": rational_to_str(report.eps_prime),
-        "n": list(report.n),
-        "l": list(report.l),
-        "a": rational_to_str(report.a),
-        "gamma": rational_to_str(report.gamma),
-        "u": rational_to_str(report.u),
-        "lambda": rational_to_str(report.lam),
-        "alphas": _coeff_table(report.alphas),
-        "betas": _coeff_table(report.betas),
-        "lhs": rational_to_str(report.lhs),
-        "rhs": rational_to_str(report.rhs),
-        "fires": report.fires,
-        "bounds": bounds,
-        "legend": CERTIFICATE_LEGEND,
-    }
-
-
-def certificate_from_dict(doc: Mapping[str, Any]) -> CertificateReport:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InputError("unsupported schema_version")
-    bounds = None
-    if doc.get("bounds") is not None:
-        raw = doc["bounds"]
-        bounds = ExplicitBounds(
-            u_bounded=bool(raw["u_bounded"]),
-            beta_terms_bounded=bool(raw["beta_terms_bounded"]),
-            margin_strict=bool(raw["margin_strict"]),
-        )
-    return CertificateReport(
-        d=int(doc["d"]),
-        r=int(doc["r"]),
-        eps=parse_rational(doc["eps"]),
-        eps_prime=parse_rational(doc["eps_prime"]),
-        n=parse_vector(doc["n"]),
-        l=parse_vector(doc["l"]),
-        a=parse_rational(doc["a"]),
-        gamma=parse_rational(doc["gamma"]),
-        u=parse_rational(doc["u"]),
-        lam=parse_rational(doc["lambda"]),
-        alphas=_parse_coeff_table(doc["alphas"]),
-        betas=_parse_coeff_table(doc["betas"]),
-        lhs=parse_rational(doc["lhs"]),
-        rhs=parse_rational(doc["rhs"]),
-        fires=bool(doc["fires"]),
-        bounds=bounds,
-    )
-
-
-def scan_summary_to_dict(summary: ScanSummary) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "scan",
-        "d": summary.d,
-        "r": summary.r,
-        "eps": rational_to_str(summary.eps),
-        "eps_prime": rational_to_str(summary.eps_prime),
-        "bound": summary.bound,
-        "total": summary.total,
-        "epsilon_lc": summary.epsilon_lc,
-        "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
-        "singular": summary.singular,
-        "fired": summary.fired,
-        "failures": [certificate_to_dict(rep) for rep in summary.failures],
-        "legend": {
+# kind and legend of each report that is a document of its own
+_ENVELOPES: dict[type, tuple[str, dict[str, str]]] = {
+    CertificateReport: (
+        "certificate",
+        {
+            "n": "primitive vector of the fiber support divisor T on the model V",
+            "l": "primitive vector of the extracted divisor D",
+            "a": "log discrepancy of D with respect to (V, 0)",
+            "gamma": "coefficient of n when l is written on its smallest cone; equals l_1/n_1",
+            "alphas": "horizontal-ray coefficients of that decomposition",
+            "lambda": "coefficient of l in the swapped decomposition; equals n_1/l_1 = 1/gamma",
+            "betas": "horizontal-ray coefficients of the swapped decomposition",
+            "u": "(r - 1) times the sum of the alphas",
+            "eps_prime": "threshold eps/(3 d r) below which the explicit bounds apply",
+            "lhs": "eps - a - u",
+            "rhs": "(r - 1) times the sum of gamma * beta_k",
+            "fires": "strict inequality lhs > rhs: the transformed fiber divisor is"
+            " certified inside the divisorial negative part of K_Y + theta over the base",
+            "bounds": "explicit sufficient bounds, evaluated only when a < eps_prime",
+        },
+    ),
+    ScanSummary: (
+        "scan",
+        {
             "epsilon_lc": "instances whose model V has mld >= eps_prime; nothing to certify",
             "singular": "instances below the threshold, certified via their mld minimizer",
             "fired": "singular instances whose certificate fired",
             "failures": "singular instances whose certificate failed to fire (expected none)",
         },
-    }
-
-
-def chain_report_to_dict(report: ChainReport) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "chain",
-        "n": report.n,
-        "r": report.r,
-        "eps": rational_to_str(report.eps),
-        "a": rational_to_str(report.a),
-        "d_dot_t": rational_to_str(report.d_dot_t),
-        "pairing": rational_to_str(report.pairing),
-        "a_ok": report.a_ok,
-        "d_dot_t_ok": report.d_dot_t_ok,
-        "pairing_ok": report.pairing_ok,
-        "fires": report.fires,
-        "coincidence_ok": report.coincidence_ok,
-        "all_pass": report.all_pass,
-        "legend": {
+    ),
+    ChainReport: (
+        "chain",
+        {
             "a": "log discrepancy of the contracted divisor on V; closed form 2/n",
             "d_dot_t": "pairing of D with the transformed fiber divisor; closed form 1",
             "pairing": "pairing of K_Y + theta with the transformed fiber divisor;"
             " closed form -eps + 2r/n",
             "coincidence_ok": "certificate fires exactly when the pairing is negative",
         },
-    }
-
-
-def mld_report_to_dict(d: int, value: Rat, minimizer: LatticeVector) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "mld",
-        "d": d,
-        "mld": rational_to_str(value),
-        "minimizer": list(minimizer),
-        "legend": {
+    ),
+    MldReport: (
+        "mld",
+        {
             "mld": "minimal log discrepancy over the primitive vectors of the support",
             "minimizer": "lexicographically smallest primitive vector attaining it",
         },
-    }
+    ),
+}
+# properties written next to the fields
+_DERIVED: dict[type, tuple[str, ...]] = {
+    ExplicitBounds: ("all_hold",),
+    ChainReport: ("all_pass",),
+}
+_CONSTANTS: dict[type, dict[str, str]] = {
+    ScanSummary: {
+        "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
+    },
+}
+_RENAMED = {"lam": "lambda"}
 
 
-def tower_to_dict(spec: TowerSpec) -> dict[str, Any]:
-    steps: list[dict[str, Any]] = []
-    for step in spec.steps:
-        if isinstance(step, ProductStep):
-            steps.append({"kind": "product"})
-        else:
-            steps.append(
-                {
-                    "kind": "node",
-                    "alpha_exponents": {str(level): exp for level, exp in step.alpha_exponents},
-                    "t_exponents": list(step.t_exponents),
-                }
-            )
-    return {"p": spec.p, "steps": steps}
+def encode(value: Any) -> Any:
+    """The JSON value of a report or of anything inside one: a dataclass
+    becomes an object of its fields (a report adds its envelope), a
+    Fraction its string, a tuple or list an array."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [encode(item) for item in value]
+    if not is_dataclass(value):
+        raise TypeError(f"cannot encode {type(value).__name__} exactly")
+    cls = type(value)
+    doc = {_RENAMED.get(f.name, f.name): encode(getattr(value, f.name)) for f in fields(value)}
+    for name in _DERIVED.get(cls, ()):
+        doc[name] = getattr(value, name)
+    doc.update(_CONSTANTS.get(cls, {}))
+    if cls in _ENVELOPES:
+        kind, legend = _ENVELOPES[cls]
+        doc.update(schema_version=SCHEMA_VERSION, kind=kind, legend=legend)
+    return doc
 
 
-def tower_from_dict(doc: Mapping[str, Any]) -> TowerSpec:
-    try:
-        p = doc["p"]
-        raw_steps = doc["steps"]
-    except (KeyError, TypeError):
-        raise InputError("tower documents need keys 'p' and 'steps'") from None
-    if isinstance(p, bool) or not isinstance(p, int):
-        raise InputError("tower base dimension p must be an integer")
-    steps: list[ProductStep | NodeStep] = []
-    for raw in raw_steps:
-        kind = raw.get("kind")
-        if kind == "product":
-            steps.append(ProductStep())
-        elif kind == "node":
-            try:
-                alphas = tuple(
-                    (int(level), exp) for level, exp in raw.get("alpha_exponents", {}).items()
-                )
-            except ValueError:
-                raise InputError("alpha exponent keys must be integer levels") from None
-            ts = raw.get("t_exponents", [])
-            if any(isinstance(e, bool) or not isinstance(e, int) for e in ts):
-                raise InputError("t_exponents must be integers")
-            if any(isinstance(e, bool) or not isinstance(e, int) for _, e in alphas):
-                raise InputError("alpha exponents must be integers")
-            steps.append(NodeStep(alphas, tuple(ts)))
-        else:
-            raise InputError(f"unknown tower step kind {kind!r}")
-    return TowerSpec(p=p, steps=tuple(steps))
+certificate_to_dict = encode
+scan_summary_to_dict = encode
 
 
-def germ_from_dict(doc: Mapping[str, Any]) -> GermData:
-    try:
-        c = doc["c"]
-        at_boundary = doc["at_boundary"]
-    except (KeyError, TypeError):
-        raise InputError("germ documents need keys 'c' and 'at_boundary'") from None
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in c):
-        raise InputError("germ orders must be integers")
-    if not isinstance(at_boundary, bool):
-        raise InputError("at_boundary must be a boolean")
-    try:
-        return GermData(tuple(c), at_boundary)
-    except (TypeError, ValueError) as exc:
-        raise InputError(str(exc)) from None
-
-
-def diagnostics_to_dict(spec: TowerSpec, diagnostics: Sequence[Diagnostic]) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "tower-validation",
-        "tower": tower_to_dict(spec),
-        "diagnostics": [
-            {"severity": d.severity, "level": d.level, "message": d.message}
-            for d in diagnostics
-        ],
-        "valid": all(d.severity != "error" for d in diagnostics),
-    }
+def mld_report_to_dict(d: int, value: Rat, minimizer: LatticeVector) -> dict[str, Any]:
+    return encode(MldReport(d, Fraction(value), minimizer))
 
 
 def fan_from_dict(doc: Mapping[str, Any]) -> Fan:
@@ -299,6 +165,9 @@ def fan_from_dict(doc: Mapping[str, Any]) -> Fan:
         raise InputError("fan documents need keys 'ambient_dim' and 'maximal_cones'") from None
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise InputError("ambient_dim must be an integer")
+    arrays = (list, tuple)
+    if not isinstance(cones, arrays) or not all(isinstance(rays, arrays) for rays in cones):
+        raise InputError("maximal_cones must be an array of ray arrays")
     try:
         return Fan(dim, tuple(Cone(tuple(parse_vector(r, dim) for r in rays), dim) for rays in cones))
     except ValueError as exc:

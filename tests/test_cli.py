@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from toricfib import cli
+from toricfib import cli, criterion, serialize
 from toricfib.exactmath import InvariantViolation
 
 CERTIFY = ["certify", "--d", "2", "--r", "1", "--eps", "1/2", "--n", "5,1", "--l", "1,0"]
@@ -161,3 +162,206 @@ def test_example_golden(capsys, n, r, eps, a, fires, pairing):
     out, err = capsys.readouterr()
     assert out == EXAMPLE_REPORT % (a, eps, fires, n, pairing, r)
     assert err == ""
+
+
+def _golden(doc, legend):
+    """The exact stdout of a report: sorted keys, two-space indent, newline."""
+    return json.dumps(dict(doc, legend=legend, schema_version=1), sort_keys=True, indent=2) + "\n"
+
+
+CERTIFICATE_LEGEND = {
+    "a": "log discrepancy of D with respect to (V, 0)",
+    "alphas": "horizontal-ray coefficients of that decomposition",
+    "betas": "horizontal-ray coefficients of the swapped decomposition",
+    "bounds": "explicit sufficient bounds, evaluated only when a < eps_prime",
+    "eps_prime": "threshold eps/(3 d r) below which the explicit bounds apply",
+    "fires": "strict inequality lhs > rhs: the transformed fiber divisor is certified inside"
+    " the divisorial negative part of K_Y + theta over the base",
+    "gamma": "coefficient of n when l is written on its smallest cone; equals l_1/n_1",
+    "l": "primitive vector of the extracted divisor D",
+    "lambda": "coefficient of l in the swapped decomposition; equals n_1/l_1 = 1/gamma",
+    "lhs": "eps - a - u",
+    "n": "primitive vector of the fiber support divisor T on the model V",
+    "rhs": "(r - 1) times the sum of gamma * beta_k",
+    "u": "(r - 1) times the sum of the alphas",
+}
+SCAN_LEGEND = {
+    "epsilon_lc": "instances whose model V has mld >= eps_prime; nothing to certify",
+    "failures": "singular instances whose certificate failed to fire (expected none)",
+    "fired": "singular instances whose certificate fired",
+    "singular": "instances below the threshold, certified via their mld minimizer",
+}
+MLD_LEGEND = {
+    "minimizer": "lexicographically smallest primitive vector attaining it",
+    "mld": "minimal log discrepancy over the primitive vectors of the support",
+}
+ALL_BOUNDS_HOLD = {
+    "all_hold": True, "beta_terms_bounded": True, "margin_strict": True, "u_bounded": True,
+}
+
+# Recorded from the hand-written per-kind encoders, before one dataclass
+# encoder replaced them.
+CERTIFY_GOLDENS = [
+    (
+        ["--d", "2", "--r", "1", "--eps", "1/2", "--n", "5,1", "--l", "1,0"],
+        {"a": "2/5", "alphas": [[[0, -1], "1/5"]], "betas": [[[0, 1], "1"]], "bounds": None,
+         "d": 2, "eps": "1/2", "eps_prime": "1/12", "fires": True, "gamma": "1/5",
+         "kind": "certificate", "l": [1, 0], "lambda": "5", "lhs": "1/10", "n": [5, 1], "r": 1,
+         "rhs": "0", "u": "0"},
+    ),
+    (
+        ["--d", "2", "--r", "2", "--eps", "1/3", "--n", "40,1", "--l", "1,0"],
+        {"a": "1/20", "alphas": [[[0, -1], "1/40"]], "betas": [[[0, 1], "1"]], "bounds": None,
+         "d": 2, "eps": "1/3", "eps_prime": "1/36", "fires": True, "gamma": "1/40",
+         "kind": "certificate", "l": [1, 0], "lambda": "40", "lhs": "31/120", "n": [40, 1],
+         "r": 2, "rhs": "1/40", "u": "1/40"},
+    ),
+    (
+        ["--d", "3", "--r", "2", "--eps", "1/3", "--n", "109,1,1", "--l", "1,0,0"],
+        {"a": "2/109", "alphas": [[[0, -1, -1], "1/109"]],
+         "betas": [[[0, 0, 1], "1"], [[0, 1, 0], "1"]], "bounds": ALL_BOUNDS_HOLD, "d": 3,
+         "eps": "1/3", "eps_prime": "1/54", "fires": True, "gamma": "1/109",
+         "kind": "certificate", "l": [1, 0, 0], "lambda": "109", "lhs": "100/327",
+         "n": [109, 1, 1], "r": 2, "rhs": "2/109", "u": "1/109"},
+    ),
+    (
+        ["--d", "3", "--r", "2", "--eps", "1/3", "--n", "8,-3,5", "--l", "2,-1,1"],
+        {"a": "1/2", "alphas": [[[0, -1, -1], "1/4"]],
+         "betas": [[[0, 0, 1], "1"], [[0, 1, 0], "1"]], "bounds": None, "d": 3, "eps": "1/3",
+         "eps_prime": "1/54", "fires": False, "gamma": "1/4", "kind": "certificate",
+         "l": [2, -1, 1], "lambda": "4", "lhs": "-5/12", "n": [8, -3, 5], "r": 2, "rhs": "1/2",
+         "u": "1/4"},
+    ),
+    (
+        ["--d", "4", "--r", "1", "--eps", "1", "--n", "7,1,1,1", "--l", "1,0,0,0"],
+        {"a": "2/7", "alphas": [[[0, -1, -1, -1], "1/7"]],
+         "betas": [[[0, 0, 0, 1], "1"], [[0, 0, 1, 0], "1"], [[0, 1, 0, 0], "1"]],
+         "bounds": None, "d": 4, "eps": "1", "eps_prime": "1/12", "fires": True, "gamma": "1/7",
+         "kind": "certificate", "l": [1, 0, 0, 0], "lambda": "7", "lhs": "5/7",
+         "n": [7, 1, 1, 1], "r": 1, "rhs": "0", "u": "0"},
+    ),
+    (
+        ["--d", "4", "--r", "2", "--eps", "1/2", "--n", "101,1,1,1", "--l", "1,0,0,0"],
+        {"a": "2/101", "alphas": [[[0, -1, -1, -1], "1/101"]],
+         "betas": [[[0, 0, 0, 1], "1"], [[0, 0, 1, 0], "1"], [[0, 1, 0, 0], "1"]],
+         "bounds": ALL_BOUNDS_HOLD, "d": 4, "eps": "1/2", "eps_prime": "1/48", "fires": True,
+         "gamma": "1/101", "kind": "certificate", "l": [1, 0, 0, 0], "lambda": "101",
+         "lhs": "95/202", "n": [101, 1, 1, 1], "r": 2, "rhs": "3/101", "u": "1/101"},
+    ),
+]
+
+
+@pytest.mark.parametrize("flags,doc", CERTIFY_GOLDENS)
+def test_certify_golden(capsys, flags, doc):
+    assert cli.main(["certify"] + flags) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == _golden(doc, CERTIFICATE_LEGEND)
+    assert err == ""
+
+
+SCAN_D2 = ["scan", "--d", "2", "--r", "1", "--eps", "1/2", "--bound", "26"]
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])
+def test_scan_golden(capsys, jobs):
+    assert cli.main(SCAN_D2 + jobs) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    doc = {"bound": 26, "d": 2, "eps": "1/2", "eps_prime": "1/12", "epsilon_lc": 837,
+           "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
+           "failures": [], "fired": 10, "kind": "scan", "r": 1, "singular": 10, "total": 847}
+    assert out == _golden(doc, SCAN_LEGEND)
+    assert err == ""
+
+
+def test_scan_failure_nests_certificates_and_exits_3(monkeypatch, capsys):
+    flags, certificate = CERTIFY_GOLDENS[3]
+    assert not certificate["fires"]
+    report = criterion.certify(3, 2, Fraction(1, 3), (8, -3, 5), (2, -1, 1))
+    summary = criterion.ScanSummary(
+        d=3, r=2, eps=Fraction(1, 3), eps_prime=Fraction(1, 54), bound=8, total=5,
+        epsilon_lc=4, singular=1, fired=0, failures=(report,),
+    )
+    nested = serialize.scan_summary_to_dict(summary)["failures"]
+    assert nested == [serialize.certificate_to_dict(report)]
+    assert nested[0]["schema_version"] == 1 and nested[0]["kind"] == "certificate"
+    assert nested[0]["legend"] == CERTIFICATE_LEGEND
+
+    monkeypatch.setattr(cli.criterion, "scan", lambda *args, **kwargs: summary)
+    argv = ["scan", "--d", "3", "--r", "2", "--eps", "1/3", "--bound", "8", "--jobs", "1"]
+    assert cli.main(argv) == cli.EXIT_SCAN_FAILURE
+    out, err = capsys.readouterr()
+    doc = {"bound": 8, "d": 3, "eps": "1/3", "eps_prime": "1/54", "epsilon_lc": 4,
+           "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
+           "failures": [dict(certificate, legend=CERTIFICATE_LEGEND, schema_version=1)],
+           "fired": 0, "kind": "scan", "r": 2, "singular": 1, "total": 5}
+    assert out == _golden(doc, SCAN_LEGEND)
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "fan,doc",
+    [
+        (
+            {"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], [-1, 2]]]},
+            {"d": 2, "kind": "mld", "minimizer": [0, 1], "mld": "2/5"},
+        ),
+        (
+            {"ambient_dim": 3, "maximal_cones": [[[1, 0, 0], [0, 1, 0], [1, 2, 5]],
+                                                 [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]},
+            {"d": 3, "kind": "mld", "minimizer": [0, 0, -1], "mld": "1"},
+        ),
+    ],
+)
+def test_mld_fan_golden(tmp_path, capsys, fan, doc):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == _golden(doc, MLD_LEGEND)
+    assert err == ""
+
+
+NOT_RAY_ARRAYS = "maximal_cones must be an array of ray arrays"
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"ambient_dim": 2, "maximal_cones": 5}, NOT_RAY_ARRAYS),
+        ({"ambient_dim": 2, "maximal_cones": [5]}, NOT_RAY_ARRAYS),
+        ({"ambient_dim": 2, "maximal_cones": "ab"}, NOT_RAY_ARRAYS),
+        ({"ambient_dim": 2, "maximal_cones": {"a": [1, 0]}}, NOT_RAY_ARRAYS),
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1]], "ab"]}, NOT_RAY_ARRAYS),
+        ({"ambient_dim": 2, "maximal_cones": [[5]]}, "vectors must be integer arrays, got 5"),
+        ({"ambient_dim": "2", "maximal_cones": []}, "ambient_dim must be an integer"),
+        ({"maximal_cones": []}, "fan documents need keys 'ambient_dim' and 'maximal_cones'"),
+    ],
+)
+def test_mld_fan_rejects_malformed_documents(tmp_path, capsys, doc, message):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--fan-of-v"], "--fan-of-v"),
+        (["--d", "2"], "--d"),
+        (["--d", "0"], "--d"),
+        (["--n", "5,1"], "--n"),
+        (["--fan-of-v", "--d", "2", "--n", "5,1"], "--fan-of-v, --d, --n"),
+    ],
+)
+def test_mld_fan_conflicts_with_flags(tmp_path, capsys, flags, named):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]]]}))
+    assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["mld", "--fan", str(path)] + flags) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --fan cannot be combined with {named}\n"

@@ -1,13 +1,15 @@
 """The benchmark's tracer (perfbench/layertrace.py) wraps toricfib functions
-by name; a rename or deletion here must not leave it pointing at nothing."""
+by name, and its runner and recorder call toricfib.serialize by name; a
+rename or deletion here must not leave either pointing at nothing."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from toricfib import divisors, fan
+from toricfib import divisors, fan, serialize
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 _spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
@@ -31,3 +33,31 @@ def test_cached_function_has_cache_info(module, function):
 def test_wrapped_methods_exist():
     assert callable(fan.Fan.__post_init__)
     assert callable(divisors.Subdivision.__dict__["at"].__func__)
+
+
+def _serialize_attributes(path):
+    """Every ``serialize.<name>`` the file at ``path`` reads."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "serialize"
+    }
+
+
+BENCHMARK_SERIALIZE_NAMES = sorted(
+    (path.name, name)
+    for path in LAYERTRACE.parent.glob("*.py")
+    for name in _serialize_attributes(path)
+)
+
+
+def test_benchmark_uses_serialize():
+    used = {name for _, name in BENCHMARK_SERIALIZE_NAMES}
+    assert {"certificate_to_dict", "scan_summary_to_dict", "mld_report_to_dict", "fan_from_dict", "dumps"} <= used
+
+
+@pytest.mark.parametrize("path,name", BENCHMARK_SERIALIZE_NAMES)
+def test_benchmark_serialize_name_resolves(path, name):
+    assert hasattr(serialize, name), f"perfbench/{path} uses serialize.{name}"
