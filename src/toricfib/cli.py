@@ -6,6 +6,10 @@ singular instance, 4 an internal invariant failed; the last writes one
 JSON error record carrying the arguments to stderr and nothing to stdout.
 Giving --in together with any of --d, --r, --eps, --n or --l is invalid
 input, and so is giving mld's --fan together with --fan-of-v, --d or --n.
+Vectors are comma-separated integers in the --n and --l flags and integer
+arrays in JSON files (--in instances, --fan rays).  scan --jobs N starts
+at most min(N, usable CPUs, instances) worker processes, and runs in this
+process when that is 1.
 """
 
 from __future__ import annotations
@@ -40,6 +44,15 @@ def _load_json(path: str) -> Mapping[str, Any]:
     return doc
 
 
+def _flag_vector(text: str, expected_dim: int | None) -> tuple[int, ...]:
+    """A vector given on the command line as comma-separated integers."""
+    try:
+        entries = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"vectors must be comma-separated integers, got {text!r}") from None
+    return serialize.parse_vector(entries, expected_dim)
+
+
 def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
     required = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
     if args.infile:
@@ -62,8 +75,8 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
         d = args.d
         r = args.r
         eps = serialize.parse_rational(args.eps)
-        n = serialize.parse_vector(args.n, d)
-        l = serialize.parse_vector(args.l, d) if args.l is not None else None
+        n = _flag_vector(args.n, d)
+        l = _flag_vector(args.l, d) if args.l is not None else None
     if isinstance(d, bool) or not isinstance(d, int) or d < 2:
         raise InputError("d must be an integer >= 2")
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
@@ -103,7 +116,7 @@ def _cmd_mld(args: argparse.Namespace) -> int:
         if args.d is None or args.n is None:
             raise InputError("--fan-of-v needs --d and --n")
         d = args.d
-        n = serialize.parse_vector(args.n, d)
+        n = _flag_vector(args.n, d)
         if not is_primitive(n):
             raise InputError("n must be primitive")
         try:

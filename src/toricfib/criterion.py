@@ -9,6 +9,10 @@ with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
 the threshold eps/(3 d r) a set of explicit bounds guarantees the strict
 inequality, and ``scan`` sweeps whole families checking exactly that.
+The certificate reads only the two smallest-cone decompositions of
+``models.decompose``, so it builds no fan: the models Y, W and U and their
+checks (``verify_extraction_identities``, ``log_canonical_class_split``)
+live in ``models`` and are exercised by the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exactmath import (
@@ -26,7 +29,7 @@ from .exactmath import (
     ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, model_V, model_V_mld, model_W_U, model_Y
+from .models import DecompositionData, decompose, horizontal_rays, model_V_mld
 
 
 @dataclass(frozen=True)
@@ -87,33 +90,60 @@ def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
 
 def _explicit_bounds(d: int, r: int, eps: Rat, data: DecompositionData) -> ExplicitBounds:
     a = data.a
-    u = (r - 1) * data.alpha_sum
-    u_bounded = eps - a - u >= eps - r * a
-    beta_terms = all(data.gamma * beta < 2 * a for _, beta in data.betas)
+    u_bounded = data.u <= (r - 1) * a
+    two_a = 2 * a
+    beta_terms = all(data.gamma * beta < two_a for _, beta in data.betas)
     margin = eps - r * a > (r - 1) * (d - 1) * 2 * a
     return ExplicitBounds(u_bounded, beta_terms, margin)
+
+
+def _check_decompositions(
+    d: int, n: LatticeVector, l: LatticeVector, data: DecompositionData
+) -> None:
+    """Prove in integers that ``data`` holds the smallest-cone
+    decompositions of l on V and of n on W.  With g = n_1 l - l_1 n, the
+    glue check asks gamma = l_1/n_1, sum(n_1 alpha_j h_j) = g and
+    sum(l_1 beta_k h_k) = -g; the face check asks that each side's
+    horizontal rays miss at least one of H = (e_2, ..., e_d, c).  With
+    lam = 1/gamma and the strict positivity of every coefficient, which
+    ``DecompositionData`` checks, this puts l in the relative interior of a
+    face <n, S> of the V cone <n, H minus h_m>, which is then its smallest
+    cone, and n likewise on W.
+    """
+    n1, l1 = n[0], l[0]
+    if data.gamma.numerator * n1 != l1 * data.gamma.denominator:
+        raise InvariantViolation("the two smallest-cone decompositions do not glue")
+    g = [n1 * li - l1 * ni for ni, li in zip(n, l)]
+    horizontal = set(horizontal_rays(d))
+    for coeffs, scale, sign in ((data.alphas, n1, 1), (data.betas, l1, -1)):
+        rays = {ray for ray, _ in coeffs}
+        if len(rays) != len(coeffs) or not rays < horizontal:
+            raise InvariantViolation("a decomposition does not lie on a cone of the fan")
+        total = [0] * d
+        for ray, c in coeffs:
+            num, rem = divmod(c.numerator * scale, c.denominator)
+            if rem:
+                raise InvariantViolation("the two smallest-cone decompositions do not glue")
+            for i, x in enumerate(ray):
+                total[i] += num * x
+        if any(t != sign * gi for t, gi in zip(total, g)):
+            raise InvariantViolation("the two smallest-cone decompositions do not glue")
 
 
 def certify(
     d: int, r: int, eps: int | Rat, n: Sequence[int], l: Sequence[int]
 ) -> CertificateReport:
-    """Build all four models for (n, l), fill the decomposition data, and
-    evaluate the certificate inequality exactly."""
+    """Evaluate the certificate inequality exactly for (n, l).
+
+    After the input checks (raising ``ValueError``), ``decompose`` writes
+    the two smallest-cone decompositions in closed form and
+    ``_check_decompositions`` proves in integers that they are; no fan,
+    subdivision or divisor is built."""
     eps = ensure_rational(eps)
     nvec, lvec = lattice_vector(n), lattice_vector(l)
     eps_p = epsilon_prime(d, r, eps)
-    v = model_V(d, nvec)
-    _, _, ydata = model_Y(v, lvec, r, eps)
-    _, _, wdata = model_W_U(d, lvec, nvec)
-    data = ydata.merged_with(wdata)
-
-    # the two decompositions glue: gamma*n - l = sum(gamma beta_k f_k) = -sum(alpha_j e_j)
-    for i in range(d):
-        lhs_coord = data.gamma * nvec[i] - lvec[i]
-        beta_coord = sum((data.gamma * c * ray[i] for ray, c in data.betas), Fraction(0))
-        alpha_coord = -sum((c * ray[i] for ray, c in data.alphas), Fraction(0))
-        if lhs_coord != beta_coord or lhs_coord != alpha_coord:
-            raise InvariantViolation("the two smallest-cone decompositions do not glue")
+    data = decompose(d, nvec, lvec, r)
+    _check_decompositions(d, nvec, lvec, data)
 
     lhs = eps - data.a - data.u
     rhs = (r - 1) * data.gamma * data.beta_sum
@@ -217,22 +247,25 @@ def scan(
     d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
 ) -> ScanSummary:
     """Classify every primitive n in the family and certify the singular
-    ones, in deterministic instance order.  ``jobs`` controls worker
-    processes; None takes the available parallelism."""
+    ones, in deterministic instance order.  ``jobs`` caps the worker
+    processes (None: the usable CPUs); at most one per usable CPU and per
+    instance is started, since the pool forks all of them at once."""
     eps = ensure_rational(eps)
     eps_p = epsilon_prime(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
     instances = [(d, r, eps, eps_p, n) for n in primitive_family(d, bound)]
+    cpus = len(os.sched_getaffinity(0))
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        jobs = cpus
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(instances) < 4:
+    workers = min(jobs, cpus, len(instances))
+    if workers == 1 or len(instances) < 4:
         results = [_scan_instance(item) for item in instances]
     else:
-        chunk = max(1, len(instances) // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(instances) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_instance, instances, chunksize=chunk))
 
     lc = sum(1 for _, is_lc, _ in results if is_lc)

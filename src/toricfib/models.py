@@ -4,9 +4,12 @@ For a primitive vector n with positive first coordinate, the model V is
 the fibration over the line whose fan replaces e_1 by n in the standard
 fan; its fiber over the origin is the single prime divisor of n, with
 multiplicity n_1.  Extracting a second vertical vector l from V gives Y,
-and swapping the roles of n and l gives W and U.  The decomposition of l
-on its smallest cone in the V-fan carries the log discrepancy and all the
-coefficients the negativity certificate is built from.
+and swapping the roles of n and l gives W and U.  The decompositions of l
+on its smallest cone in the V-fan and of n on its smallest cone in the
+W-fan carry the log discrepancy and all the coefficients the negativity
+certificate is built from.  ``decompose`` writes both in closed form from
+n and l, with no fan; the models themselves are built for ``surface``, the
+extraction identities and the class split.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -39,7 +42,7 @@ from .divisors import (
     rel_lin_equiv,
     zero_divisor,
 )
-from .fan import Cone, Fan, smallest_containing_cone
+from .fan import Cone, Fan
 
 MODEL_KINDS = ("X", "V", "Y", "W", "U")
 
@@ -68,61 +71,40 @@ class FibrationModel:
 class DecompositionData:
     """Coefficients of the two smallest-cone decompositions.
 
-    gamma and alphas come from writing l = gamma*n + sum(alpha_j e_j) on the
+    gamma and alphas come from writing l = gamma*n + sum(alpha_j h_j) on the
     V-fan, a = gamma + sum(alphas) is the log discrepancy of l on V, and
     u = (r-1)*sum(alphas).  lam and betas come from the swapped
-    decomposition n = lam*l + sum(beta_k f_k) on the W-fan; lam*gamma = 1.
-    Fields are None until the side that computes them has run.
+    decomposition n = lam*l + sum(beta_k h_k) on the W-fan; lam*gamma = 1.
+    The h_j and h_k are horizontal rays, and alphas and betas list only
+    the strictly positive coefficients, sorted by ray.
     """
 
     gamma: Rat
-    alphas: tuple[tuple[LatticeVector, Rat], ...] | None = None
-    a: Rat | None = None
-    u: Rat | None = None
-    lam: Rat | None = None
-    betas: tuple[tuple[LatticeVector, Rat], ...] | None = None
+    alphas: tuple[tuple[LatticeVector, Rat], ...]
+    a: Rat
+    u: Rat
+    lam: Rat
+    betas: tuple[tuple[LatticeVector, Rat], ...]
 
     def __post_init__(self) -> None:
-        gamma = ensure_rational(self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        if gamma <= 0:
+        if self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.alphas is not None:
-            alphas = tuple(sorted((lattice_vector(r), ensure_rational(c)) for r, c in self.alphas))
-            if any(c <= 0 for _, c in alphas):
-                raise ValueError("alpha coefficients must be strictly positive")
-            object.__setattr__(self, "alphas", alphas)
-            if self.a is not None and ensure_rational(self.a) != gamma + self.alpha_sum:
-                raise InvariantViolation("a != gamma + sum(alphas)")
-        if self.lam is not None:
-            lam = ensure_rational(self.lam)
-            object.__setattr__(self, "lam", lam)
-            if lam * gamma != 1:
-                raise InvariantViolation("lam * gamma != 1")
-        if self.betas is not None:
-            betas = tuple(sorted((lattice_vector(r), ensure_rational(c)) for r, c in self.betas))
-            if any(c <= 0 for _, c in betas):
-                raise ValueError("beta coefficients must be strictly positive")
-            object.__setattr__(self, "betas", betas)
+        if any(c <= 0 for _, c in self.alphas):
+            raise ValueError("alpha coefficients must be strictly positive")
+        if any(c <= 0 for _, c in self.betas):
+            raise ValueError("beta coefficients must be strictly positive")
+        if self.a != self.gamma + self.alpha_sum:
+            raise InvariantViolation("a != gamma + sum(alphas)")
+        if self.lam * self.gamma != 1:
+            raise InvariantViolation("lam * gamma != 1")
 
     @property
     def alpha_sum(self) -> Rat:
-        if self.alphas is None:
-            raise ValueError("alphas not computed")
         return sum((c for _, c in self.alphas), Fraction(0))
 
     @property
     def beta_sum(self) -> Rat:
-        if self.betas is None:
-            raise ValueError("betas not computed")
         return sum((c for _, c in self.betas), Fraction(0))
-
-    def merged_with(self, other: "DecompositionData") -> "DecompositionData":
-        """Combine the V-side and W-side halves of the data, cross-checking
-        the shared gamma."""
-        if other.gamma != self.gamma:
-            raise InvariantViolation("the two decompositions disagree on gamma")
-        return replace(self, lam=other.lam, betas=other.betas)
 
 
 class YModelResult(NamedTuple):
@@ -134,7 +116,6 @@ class YModelResult(NamedTuple):
 class WUModelResult(NamedTuple):
     w: FibrationModel
     u: FibrationModel
-    data: DecompositionData
 
 
 def _v_vector(d: int, n: Sequence[int]) -> LatticeVector:
@@ -150,7 +131,7 @@ def _v_vector(d: int, n: Sequence[int]) -> LatticeVector:
     return vec
 
 
-def _horizontal_rays(d: int) -> list[LatticeVector]:
+def horizontal_rays(d: int) -> list[LatticeVector]:
     """e_2, ..., e_d and c = -(e_2 + ... + e_d): the rays of the smooth fan
     of P^{d-1} in the hyperplane x_1 = 0."""
     return [tuple(int(i == j) for i in range(d)) for j in range(1, d)] + [(0,) + (-1,) * (d - 1)]
@@ -164,7 +145,7 @@ def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
     vec = _v_vector(d, n)
     cones = [
         Cone((vec,) + subset, d)
-        for subset in itertools.combinations(_horizontal_rays(d), d - 1)
+        for subset in itertools.combinations(horizontal_rays(d), d - 1)
     ]
     return FibrationModel(Fan(d, tuple(cones)), vec, kind)
 
@@ -218,7 +199,7 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     """
     vec = _v_vector(d, n)
     n1 = vec[0]
-    horizontal = _horizontal_rays(d)
+    horizontal = horizontal_rays(d)
     best = min((n1, ray) for ray in [vec] + horizontal)
     # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
     cones = [
@@ -242,6 +223,75 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     return Fraction(best[0], n1), best[1]
 
 
+def _l_vector(d: int, n: LatticeVector, l: Sequence[int]) -> LatticeVector:
+    vec = lattice_vector(l)
+    if not is_primitive(vec):
+        raise ValueError("l must be primitive")
+    if vec[0] <= 0:
+        raise ValueError("l must have positive first coordinate")
+    if vec == n:
+        raise ValueError("T and D must be distinct toric prime divisors")
+    if len(vec) != d:
+        raise ValueError("target dimension mismatch")
+    return vec
+
+
+def _fan_coordinates(w: Sequence[int]) -> list[int]:
+    """The coordinates of sum(w_i e_{i+2}) on the rays e_2, ..., e_d, c of
+    the smooth fan of P^{d-1}, all >= 0 and at least one of them 0."""
+    y = max(0, -min(w))
+    return [wi + y for wi in w] + [y]
+
+
+def decompose(d: int, n: Sequence[int], l: Sequence[int], r: int) -> DecompositionData:
+    """The smallest-cone decompositions of l on V and of n on W, in closed
+    form from n and l alone: no fan is built.  Raises the ``ValueError``s
+    of ``model_V`` for n and of ``model_Y`` for l and r.
+
+    Let H = (e_2, ..., e_d, c) be the horizontal rays, g = n_1 l - l_1 n
+    and A = ``_fan_coordinates(g[1:])``, B = ``_fan_coordinates(-g[1:])``.
+
+    Claim: l = gamma n + sum(alpha_j h_j) with gamma = l_1/n_1 and
+    alpha_j = A_j/n_1 over the h_j with A_j > 0 is the unique
+    decomposition of l on its smallest cone in the V-fan, and likewise
+    n = lam l + sum(beta_k h_k) with lam = n_1/l_1 and beta_k = B_k/l_1 on
+    the W-fan.  Proof: g_1 = n_1 l_1 - l_1 n_1 = 0, so g = sum(w_i e_{i+2})
+    with w = g[1:].  As c = -(e_2 + ... + e_d), for every y
+    w = sum((w_i + y) e_{i+2}) + y c, and y = max(0, -min w) makes every
+    coefficient >= 0 and one of them 0: that of c when y = 0, and that of
+    e_{i+2} at a minimal w_i when y > 0.  So A >= 0, sum(A_j h_j) = g, and
+    the support S of A misses some h_m in H.  Dividing by n_1 gives
+    l = gamma n + sum(alpha_j h_j) with every coefficient strictly positive
+    (gamma > 0 as l_1, n_1 > 0), so l lies in the relative interior of
+    <n, S>, a face of the maximal cone <n, H minus h_m> of V.  The cones of
+    a fan meet in common faces, so their relative interiors are disjoint
+    and <n, S> is the smallest cone containing l; its rays are part of a
+    basis, so the coefficients are unique.  W is the V model of l, and
+    l_1 n - n_1 l = -g, so the same argument with n and l swapped and B in
+    place of A gives the decomposition of n on W.
+
+    a = gamma + sum(alphas), u = (r - 1) sum(alphas), lam gamma = 1.
+    """
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ValueError("r must be an integer >= 1")
+    nvec = _v_vector(d, n)
+    lvec = _l_vector(d, nvec, l)
+    n1, l1 = nvec[0], lvec[0]
+    w = [n1 * li - l1 * ni for ni, li in zip(nvec[1:], lvec[1:])]
+    horizontal = horizontal_rays(d)
+    alpha_nums = _fan_coordinates(w)
+    beta_nums = _fan_coordinates([-x for x in w])
+    alpha_total = sum(alpha_nums)
+    return DecompositionData(
+        gamma=Fraction(l1, n1),
+        alphas=tuple(sorted((h, Fraction(c, n1)) for h, c in zip(horizontal, alpha_nums) if c)),
+        a=Fraction(l1 + alpha_total, n1),
+        u=Fraction((r - 1) * alpha_total, n1),
+        lam=Fraction(n1, l1),
+        betas=tuple(sorted((h, Fraction(c, l1)) for h, c in zip(horizontal, beta_nums) if c)),
+    )
+
+
 def vertical_rays(fan: Fan) -> tuple[LatticeVector, ...]:
     return tuple(r for r in fan.rays if r[0] > 0)
 
@@ -255,20 +305,6 @@ def extracted_ray(y_model: FibrationModel) -> LatticeVector:
     return others[0]
 
 
-def _decompose_on(fan: Fan, apex: LatticeVector, vec: LatticeVector):
-    """Write vec on its smallest cone in the fan; the apex ray (the fan's
-    vertical generator) must participate, everything else is horizontal."""
-    cone, coeffs = smallest_containing_cone(fan, vec)
-    table = dict(zip(cone.rays, coeffs))
-    if apex not in table:
-        raise InvariantViolation("vertical generator missing from the smallest cone")
-    weight = table.pop(apex)
-    rest = tuple(sorted(table.items()))
-    if any(r[0] != 0 for r, _ in rest):
-        raise InvariantViolation("unexpected vertical ray in the decomposition")
-    return weight, rest
-
-
 def model_Y(
     v_model: FibrationModel, l: Sequence[int], r: int, eps: int | Rat
 ) -> YModelResult:
@@ -280,25 +316,9 @@ def model_Y(
     eps = ensure_rational(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    vec = lattice_vector(l)
     n = v_model.distinguished_ray
-    if not is_primitive(vec):
-        raise ValueError("l must be primitive")
-    if vec[0] <= 0:
-        raise ValueError("l must have positive first coordinate")
-    if vec == n:
-        raise ValueError("T and D must be distinct toric prime divisors")
-
-    gamma, alphas = _decompose_on(v_model.fan, n, vec)
-    if gamma != Fraction(vec[0], n[0]):
-        raise InvariantViolation("gamma != l_1 / n_1")
-    alpha_sum = sum((c for _, c in alphas), Fraction(0))
-    data = DecompositionData(
-        gamma=gamma,
-        alphas=alphas,
-        a=gamma + alpha_sum,
-        u=(r - 1) * alpha_sum,
-    )
+    data = decompose(v_model.fan.ambient_dim, n, l, r)
+    vec = lattice_vector(l)
     sub = Subdivision.at(v_model.fan, vec)
     theta = (1 - eps) * ray_divisor(sub.fine, vec) + pullback(sub, r * horizontal_sum(v_model.fan))
     return YModelResult(FibrationModel(sub.fine, n, "Y"), theta, data)
@@ -306,7 +326,7 @@ def model_Y(
 
 def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
     """The swapped models: W is the fibration model of l, and U extracts n
-    from it.  Fills the lam/betas half of the decomposition data."""
+    from it.  The swapped decomposition is ``decompose``'s lam and betas."""
     lvec, nvec = lattice_vector(l), lattice_vector(n)
     w = model_V(d, lvec, kind="W")
     if not is_primitive(nvec):
@@ -315,13 +335,8 @@ def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
         raise ValueError("n must have positive first coordinate")
     if nvec == lvec:
         raise ValueError("T and D must be distinct toric prime divisors")
-    lam, betas = _decompose_on(w.fan, lvec, nvec)
-    if lam != Fraction(nvec[0], lvec[0]):
-        raise InvariantViolation("lam != n_1 / l_1")
     sub = Subdivision.at(w.fan, nvec)
-    u = FibrationModel(sub.fine, lvec, "U")
-    data = DecompositionData(gamma=Fraction(lvec[0], nvec[0]), lam=lam, betas=betas)
-    return WUModelResult(w, u, data)
+    return WUModelResult(w, FibrationModel(sub.fine, lvec, "U"))
 
 
 @dataclass(frozen=True)
@@ -359,8 +374,6 @@ def verify_extraction_identities(
       character witness;
     - n_1 T + l_1 D (the fiber over the origin) is trivial over the base.
     """
-    if data.a is None:
-        raise ValueError("decomposition data is missing a")
     v, sub = _reconstruct_extraction(y_model)
     n = y_model.distinguished_ray
     l = sub.new_ray
@@ -385,10 +398,8 @@ def log_canonical_class_split(
     K_Y + theta is equivalent to c*T + (r-1)*S over the base.  The returned
     divisor is the residue of that identity and is always zero."""
     eps = ensure_rational(eps)
-    if data.a is None or data.alphas is None:
-        raise ValueError("decomposition data is missing the extraction side")
     u = (r - 1) * data.alpha_sum
-    if data.u is not None and data.u != u:
+    if data.u != u:
         raise ValueError("decomposition data was built for a different r")
     v, sub = _reconstruct_extraction(y_model)
     n = y_model.distinguished_ray

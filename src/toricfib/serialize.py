@@ -37,18 +37,12 @@ def parse_rational(text: Any) -> Rat:
 
 
 def parse_vector(value: Any, expected_dim: int | None = None) -> LatticeVector:
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-        try:
-            entries = tuple(int(p) for p in parts)
-        except ValueError:
-            raise InputError(f"vectors must be comma-separated integers, got {value!r}") from None
-    elif isinstance(value, Sequence):
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in value):
-            raise InputError(f"vector entries must be integers, got {value!r}")
-        entries = tuple(value)
-    else:
+    """A lattice vector from a JSON document: an array of integers."""
+    if isinstance(value, str) or not isinstance(value, Sequence):
         raise InputError(f"vectors must be integer arrays, got {value!r}")
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in value):
+        raise InputError(f"vector entries must be integers, got {value!r}")
+    entries = tuple(value)
     if not entries:
         raise InputError("vectors must have at least one entry")
     if expected_dim is not None and len(entries) != expected_dim:

@@ -6,7 +6,9 @@ oracle scans a bounding cube instead of reducing to box points, and the
 fiber-multiplicity oracle re-derives coefficients by resolving until the
 relevant cones are smooth and pulling back step by step.  The
 face-compatibility oracle solves a linear program over the rationals with
-sympy instead of enumerating facet hyperplanes.
+sympy instead of enumerating facet hyperplanes.  The certificate oracle
+reads both decompositions off the smallest containing cones of the built
+V and W fans instead of the closed form, and glues them in Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import product
 from sympy import Eq, symbols
 from sympy.solvers.simplex import lpmax
 
+from toricfib.criterion import CertificateReport, ExplicitBounds
 from toricfib.divisors import (
     Subdivision,
     ToricDivisor,
@@ -32,8 +35,8 @@ from toricfib.exactmath import (
     primitive,
     solve_in_basis,
 )
-from toricfib.fan import Cone, Fan, multiplicity
-from toricfib.models import FibrationModel
+from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
+from toricfib.models import DecompositionData, FibrationModel, model_V
 
 
 def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVector, tuple]]:
@@ -184,4 +187,51 @@ def surface_intersection(
         Fraction(coefficients.get(before, 0), left)
         + Fraction(coefficients.get(after, 0), right)
         - Fraction(coefficients.get(ray, 0) * abs(det([before, after])), left * right)
+    )
+
+
+def decompose_on_fan(fan: Fan, apex: LatticeVector, vec: LatticeVector):
+    """Write vec on its smallest cone in the fan; the apex ray (the fan's
+    vertical generator) must participate, everything else is horizontal."""
+    cone, coeffs = smallest_containing_cone(fan, vec)
+    table = dict(zip(cone.rays, coeffs))
+    weight = table.pop(apex)
+    rest = tuple(sorted(table.items()))
+    assert all(ray[0] == 0 for ray, _ in rest)
+    return weight, rest
+
+
+def fan_decomposition(d: int, n: LatticeVector, l: LatticeVector, r: int) -> DecompositionData:
+    """The decomposition data read off the built V fan of n and W fan of l."""
+    gamma, alphas = decompose_on_fan(model_V(d, n).fan, n, l)
+    lam, betas = decompose_on_fan(model_V(d, l).fan, l, n)
+    alpha_sum = sum((c for _, c in alphas), Fraction(0))
+    return DecompositionData(gamma, alphas, gamma + alpha_sum, (r - 1) * alpha_sum, lam, betas)
+
+
+def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVector) -> CertificateReport:
+    """The certificate of valid input on the fan route: decompositions from
+    ``fan_decomposition``, the glue gamma*n - l = sum(gamma beta_k h_k) =
+    -sum(alpha_j h_j) checked in Fractions, and every report quantity
+    written out from its definition."""
+    data = fan_decomposition(d, n, l, r)
+    gamma, a, u = data.gamma, data.a, data.u
+    for i in range(d):
+        diff = gamma * n[i] - l[i]
+        assert diff == sum((gamma * c * ray[i] for ray, c in data.betas), Fraction(0))
+        assert diff == -sum((c * ray[i] for ray, c in data.alphas), Fraction(0))
+    eps_prime = eps / (3 * d * r)
+    lhs = eps - a - u
+    rhs = (r - 1) * sum((gamma * c for _, c in data.betas), Fraction(0))
+    bounds = None
+    if a < eps_prime:
+        bounds = ExplicitBounds(
+            u_bounded=eps - a - u >= eps - r * a,
+            beta_terms_bounded=all(gamma * c < 2 * a for _, c in data.betas),
+            margin_strict=eps - r * a > (r - 1) * (d - 1) * 2 * a,
+        )
+    return CertificateReport(
+        d=d, r=r, eps=eps, eps_prime=eps_prime, n=n, l=l, a=a, gamma=gamma, u=u,
+        lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
+        fires=lhs > rhs, bounds=bounds,
     )

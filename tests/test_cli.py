@@ -365,3 +365,60 @@ def test_mld_fan_conflicts_with_flags(tmp_path, capsys, flags, named):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --fan cannot be combined with {named}\n"
+
+
+@pytest.mark.parametrize(
+    "cones,ray",
+    [
+        ([["1,0", " 1, 3"], [[1, 3], [-1, 2]]], "1,0"),
+        ([[[1, 0], [1, 3]], [[1, 3], "-1,2"]], "-1,2"),
+    ],
+)
+def test_mld_fan_rejects_string_rays(tmp_path, capsys, cones, ray):
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "maximal_cones": cones}))
+    assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: vectors must be integer arrays, got {ray!r}\n"
+
+
+@pytest.mark.parametrize("key,value", [("n", "5,1"), ("l", "1,0"), ("n", "5")])
+def test_certify_in_rejects_string_vectors(tmp_path, capsys, key, value):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"d": 2, "r": 1, "eps": "1/2", "n": [5, 1], "l": [1, 0], key: value}))
+    assert cli.main(["certify", "--in", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: vectors must be integer arrays, got {value!r}\n"
+
+
+# stderr of `certify` on invalid flags, recorded before the closed form
+# replaced the fan route; every one exits 2 and writes nothing to stdout
+CERTIFY_FLAG_ERRORS = [
+    ({"d": "1", "n": "5", "l": "1"}, "d must be an integer >= 2"),
+    ({"d": "1"}, "expected a vector of length 1, got 2"),
+    ({"r": "0"}, "r must be an integer >= 1"),
+    ({"eps": "0"}, "eps must lie in (0, 1]"),
+    ({"eps": "3/2"}, "eps must lie in (0, 1]"),
+    ({"eps": "0.5"}, "rationals must be p/q, got '0.5'"),
+    ({"n": "2,4"}, "n must be primitive"),
+    ({"n": "0,1"}, "n must have positive first coordinate"),
+    ({"n": "-1,2"}, "n must have positive first coordinate"),
+    ({"n": "5,1,1"}, "expected a vector of length 2, got 3"),
+    ({"n": "5,x"}, "vectors must be comma-separated integers, got '5,x'"),
+    ({"l": "2,4"}, "l must be primitive"),
+    ({"l": "0,1"}, "l must have positive first coordinate"),
+    ({"l": "-1,1"}, "l must have positive first coordinate"),
+    ({"l": "5,1"}, "T and D must be distinct toric prime divisors"),
+    ({"l": "1,0,0"}, "expected a vector of length 2, got 3"),
+]
+
+
+@pytest.mark.parametrize("flags,message", CERTIFY_FLAG_ERRORS)
+def test_certify_flag_errors(capsys, flags, message):
+    values = {"d": "2", "r": "1", "eps": "1/2", "n": "5,1", "l": "1,0", **flags}
+    assert cli.main(["certify"] + [f"--{key}={value}" for key, value in values.items()]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -1,8 +1,16 @@
+import importlib.util
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import fan_certify, fan_decomposition
 
+from toricfib import criterion, fan, serialize
 from toricfib.criterion import (
     _scan_instance,
     certify,
@@ -11,7 +19,39 @@ from toricfib.criterion import (
     scan,
     verify_explicit_bounds,
 )
-from toricfib.exactmath import is_primitive
+from toricfib.exactmath import InvariantViolation, is_primitive
+from toricfib.models import (
+    decompose,
+    log_canonical_class_split,
+    model_V,
+    model_W_U,
+    model_Y,
+    verify_extraction_identities,
+)
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _perfbench_workloads()
+# every 50th instance of the certify benchmark pool, in its committed order:
+# 40 singular d=3 instances with n_1 from 109 to 294
+SINGULAR_SLICE = [
+    (tuple(n), tuple(l))
+    for n, l, _ in json.loads((Path(WORKLOADS.DATA) / "certify_d3.json").read_text())["instances"][::50][:40]
+]
+
+
+def random_vertical(rng, d, top):
+    while True:
+        vec = (rng.randint(1, top),) + tuple(rng.randint(-top, top) for _ in range(d - 1))
+        if is_primitive(vec):
+            return vec
 
 
 class TestEpsilonPrime:
@@ -78,6 +118,145 @@ class TestCertify:
                 (report.gamma * c for _, c in report.betas), Fraction(0)
             )
             assert report.fires == (eps - report.a - report.u > gamma_beta)
+
+
+class TestCertifyClosedForm:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fan_route(self, seed):
+        # any l, not only mld minimizers: both sides of the threshold
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n, l = random_vertical(rng, d, 150), random_vertical(rng, d, rng.choice((3, 150)))
+        if n == l:
+            return
+        r = rng.randint(1, 4)
+        eps = Fraction(rng.randint(1, 12), 12)
+        report = certify(d, r, eps, n, l)
+        expected = fan_certify(d, r, eps, n, l)
+        assert report == expected
+        assert repr(report) == repr(expected)
+
+    def test_benchmark_pool_digests(self):
+        # every instance of the certify-d3 benchmark pool, against its golden digest
+        pool = WORKLOADS.certify_stream(0)
+        assert len(pool) == 2094
+        for n, l, gold in pool:
+            report = certify(WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS, n, l)
+            assert WORKLOADS.digest(serialize.dumps(serialize.certificate_to_dict(report))) == gold
+
+    def test_builds_no_cone_or_fan(self, monkeypatch):
+        built = []
+        for cls in (fan.Cone, fan.Fan):
+            original = cls.__post_init__
+
+            def counting(self, original=original, name=cls.__name__):
+                built.append(name)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        rng = random.Random(5)
+        for d in (2, 3, 4):
+            for _ in range(20):
+                n, l = random_vertical(rng, d, 60), random_vertical(rng, d, 60)
+                if n != l:
+                    certify(d, 2, Fraction(1, 3), n, l)
+        assert built == []
+        model_V.__wrapped__(3, (7, 2, 3))
+        assert "Cone" in built and "Fan" in built
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (
+                lambda data: replace(data, gamma=data.gamma * 2, lam=data.lam / 2, a=data.a + data.gamma),
+                "do not glue",
+            ),
+            (
+                lambda data: replace(data, alphas=((data.alphas[0][0], data.alphas[0][1] + 1),) + data.alphas[1:],
+                                     a=data.a + 1),
+                "do not glue",
+            ),
+            (
+                lambda data: replace(data, betas=((data.betas[0][0], data.betas[0][1] / 3),) + data.betas[1:]),
+                "do not glue",
+            ),
+            (
+                # l_1 = 2: 2 * (11/2 + 1/4) = 11.5 truncates to the right numerator
+                lambda data: replace(data, betas=((data.betas[0][0], data.betas[0][1] + Fraction(1, 4)),)
+                                     + data.betas[1:]),
+                "do not glue",
+            ),
+            (
+                # e_2 + e_3 + c = 0 added: still sums to l - gamma n, on all of H
+                lambda data: replace(
+                    data,
+                    alphas=(((0, -1, -1), Fraction(1)),) + tuple((ray, c + 1) for ray, c in data.alphas),
+                    a=data.a + 3,
+                ),
+                "does not lie on a cone",
+            ),
+            (lambda data: replace(data, betas=data.betas + data.betas[:1]), "does not lie on a cone"),
+        ],
+    )
+    def test_corrupted_decompositions_are_caught(self, monkeypatch, corrupt, message):
+        monkeypatch.setattr(criterion, "decompose", lambda *args: corrupt(decompose(*args)))
+        with pytest.raises(InvariantViolation, match=message):
+            certify(3, 2, Fraction(1, 3), (7, -2, 3), (2, 1, 1))
+
+
+# certify's exception for invalid input, recorded before the closed form
+# replaced the fan route: (d, r, eps, n, l), type, message
+CERTIFY_ERRORS = [
+    ((1, 1, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "d must be an integer >= 2"),
+    ((True, 1, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "d must be an integer >= 2"),
+    ((2, 0, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "r must be an integer >= 1"),
+    ((2, True, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "r must be an integer >= 1"),
+    ((2, 1, Fraction(0), (2, 1), (1, 0)), ValueError, "eps must lie in (0, 1]"),
+    ((2, 1, Fraction(2), (2, 1), (1, 0)), ValueError, "eps must lie in (0, 1]"),
+    ((2, 1, 0.5, (2, 1), (1, 0)), TypeError, "floating point is not allowed; use Fraction"),
+    ((2, 1, Fraction(1, 2), (2, 4), (1, 0)), ValueError, "n must be primitive"),
+    ((2, 1, Fraction(1, 2), (-1, 2), (1, 0)), ValueError, "n must have positive first coordinate"),
+    ((2, 1, Fraction(1, 2), (0, 1), (1, 0)), ValueError, "n must have positive first coordinate"),
+    ((3, 1, Fraction(1, 2), (2, 1), (1, 0, 0)), ValueError, "vector dimension does not match d"),
+    ((2, 1, Fraction(1, 2), (), (1, 0)), ValueError, "lattice vectors must have dimension >= 1"),
+    ((2, 1, Fraction(1, 2), (2.0, 1), (1, 0)), TypeError, "lattice vector entries must be ints, got 2.0"),
+    ((2, 1, Fraction(1, 2), (3, 1), (2, 4)), ValueError, "l must be primitive"),
+    ((2, 1, Fraction(1, 2), (3, 1), (0, 1)), ValueError, "l must have positive first coordinate"),
+    ((2, 1, Fraction(1, 2), (3, 1), (-1, 1)), ValueError, "l must have positive first coordinate"),
+    ((2, 1, Fraction(1, 2), (3, 1), (3, 1)), ValueError, "T and D must be distinct toric prime divisors"),
+    ((2, 1, Fraction(1, 2), (3, 1), (1, 0, 0)), ValueError, "target dimension mismatch"),
+    ((3, 1, Fraction(1, 2), (3, 1, 1), (1, 0)), ValueError, "target dimension mismatch"),
+    ((2, 1, Fraction(1, 2), (3, 1), ()), ValueError, "lattice vectors must have dimension >= 1"),
+    ((2, 1, Fraction(1, 2), (3, 1), (1.0, 0)), TypeError, "lattice vector entries must be ints, got 1.0"),
+    ((2, 1, Fraction(1, 2), (2, 4), (2, 4)), ValueError, "n must be primitive"),
+    ((3, 1, Fraction(1, 2), (2, 1), (2, 4)), ValueError, "vector dimension does not match d"),
+]
+
+
+@pytest.mark.parametrize("args,kind,message", CERTIFY_ERRORS)
+def test_certify_input_errors(args, kind, message):
+    with pytest.raises(Exception) as raised:
+        certify(*args)
+    assert type(raised.value) is kind
+    assert str(raised.value) == message
+
+
+class TestSingularStratum:
+    """The checks that run on the models Y, W and U, which ``certify`` no
+    longer builds, on a slice of the singular instances it certifies."""
+
+    @pytest.mark.parametrize("n,l", SINGULAR_SLICE)
+    def test_models_and_identities(self, n, l):
+        d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
+        y, _, data = model_Y(model_V(d, n), l, r, eps)
+        assert data == fan_decomposition(d, n, l, r)
+        assert verify_extraction_identities(y, data).all_pass
+        c, residue = log_canonical_class_split(y, data, r, eps)
+        assert residue.is_zero()
+        assert c == (eps - data.a - data.u) * Fraction(n[0], l[0])
+        _, u = model_W_U(d, l, n)
+        assert u.fan.rays == y.fan.rays
 
 
 class TestExplicitBounds:
@@ -181,3 +360,43 @@ class TestScan:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             scan(2, 1, Fraction(1, 2), 0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its worker count and maps
+    in this process, starting none."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestScanWorkers:
+    @pytest.mark.parametrize(
+        "cpus,jobs,bound,started",
+        [
+            (3, 64, 26, [3]),  # capped by the usable CPUs
+            (64, 5, 26, [5]),  # by --jobs
+            (64, 1000, 2, [7]),  # by the 7 instances
+            (1, 8, 26, []),  # one worker runs in this process
+            (64, 3, 1, []),  # under 4 instances as well
+        ],
+    )
+    def test_worker_count_is_bounded(self, monkeypatch, cpus, jobs, bound, started):
+        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(criterion.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        summary = scan(2, 1, Fraction(1, 2), bound, jobs=jobs)
+        assert _RecordingPool.started == started
+        assert summary == scan(2, 1, Fraction(1, 2), bound, jobs=1)
+        assert _RecordingPool.started == started

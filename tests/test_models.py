@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import fan_decomposition
 
 from toricfib import models
 from toricfib.criterion import primitive_family
@@ -13,6 +14,7 @@ from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_
 from toricfib.fan import multiplicity, standard_fibration_fan
 from toricfib.models import (
     DecompositionData,
+    decompose,
     log_canonical_class_split,
     model_V,
     model_V_mld,
@@ -176,8 +178,10 @@ class TestModelY:
 
 class TestModelWU:
     def test_swapped_chain_instance(self):
-        w, u, data = model_W_U(2, (1, 0), (6, 1))
+        w, u = model_W_U(2, (1, 0), (6, 1))
         assert w.fan == standard_fibration_fan(2)
+        assert u.fan.rays == ((0, -1), (0, 1), (1, 0), (6, 1))
+        data = decompose(2, (6, 1), (1, 0), 1)
         assert data.lam == 6
         assert dict(data.betas) == {(0, 1): 1}
 
@@ -185,11 +189,9 @@ class TestModelWU:
         rng = random.Random(4)
         for _ in range(20):
             d, n, l = random_instance(rng)
-            v = model_V(d, n)
-            _, _, ydata = model_Y(v, l, 1, Fraction(1, 2))
-            _, _, wdata = model_W_U(d, l, n)
-            assert wdata.lam * ydata.gamma == 1
-            assert ydata.gamma == Fraction(l[0], n[0])
+            data = decompose(d, n, l, 1)
+            assert data.lam * data.gamma == 1
+            assert data.gamma == Fraction(l[0], n[0])
 
     def test_codimension_one_isomorphism(self):
         rng = random.Random(9)
@@ -197,16 +199,83 @@ class TestModelWU:
             d, n, l = random_instance(rng, d=3)
             v = model_V(d, n)
             y, _, _ = model_Y(v, l, 1, Fraction(1, 2))
-            _, u, _ = model_W_U(d, l, n)
+            _, u = model_W_U(d, l, n)
             assert y.fan.rays == u.fan.rays
 
 
+def random_vertical(rng, d, top):
+    while True:
+        vec = (rng.randint(1, top),) + tuple(rng.randint(-top, top) for _ in range(d - 1))
+        if is_primitive(vec):
+            return vec
+
+
+class TestDecompose:
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fan_route(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n, l = random_vertical(rng, d, 150), random_vertical(rng, d, 150)
+        if n == l:
+            return
+        r = rng.randint(1, 4)
+        data = decompose(d, n, l, r)
+        expected = fan_decomposition(d, n, l, r)
+        assert data == expected
+        assert repr(data) == repr(expected)
+
+    def test_dimension_three_hand_case(self):
+        # g = 5 (1,2,-1) - (5,1,1) = (0, 9, -6): y = 6, so 15 on e_2 and 6 on c
+        data = decompose(3, (5, 1, 1), (1, 2, -1), 3)
+        assert data.gamma == Fraction(1, 5)
+        assert data.alphas == (((0, -1, -1), Fraction(6, 5)), ((0, 1, 0), Fraction(3)))
+        assert data.a == Fraction(1 + 21, 5)
+        assert data.u == 2 * Fraction(21, 5)
+        # -g = (0, -9, 6): y = 9, so 15 on e_3 and 9 on c, over l_1 = 1
+        assert data.lam == 5
+        assert data.betas == (((0, -1, -1), Fraction(9)), ((0, 0, 1), Fraction(15)))
+
+    def test_every_support_misses_a_horizontal_ray(self):
+        for n in primitive_family(3, 3):
+            for l in primitive_family(3, 2):
+                if l != n:
+                    data = decompose(3, n, l, 1)
+                    assert 0 < len(data.alphas) < 3
+                    assert 0 < len(data.betas) < 3
+
+    @pytest.mark.parametrize(
+        "d,n,l,r",
+        [
+            (2, (2, 4), (1, 0), 1),
+            (2, (0, 1), (1, 0), 1),
+            (3, (2, 1), (1, 0, 0), 1),
+            (2, (3, 1), (2, 4), 1),
+            (2, (3, 1), (0, 1), 1),
+            (2, (3, 1), (3, 1), 1),
+            (2, (3, 1), (1, 0, 0), 1),
+            (2, (3, 1), (1, 0), 0),
+            (2, (3, 1), (1.0, 0), 1),
+        ],
+    )
+    def test_rejects_what_the_models_reject(self, d, n, l, r):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            model_Y(model_V(d, n), l, r, Fraction(1, 2))
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            decompose(d, n, l, r)
+
+
 class TestDecompositionData:
-    def test_merge_checks_gamma(self):
-        left = DecompositionData(gamma=Fraction(1, 2))
-        right = DecompositionData(gamma=Fraction(1, 3), lam=3, betas=(((0, 1), Fraction(1)),))
-        with pytest.raises(InvariantViolation):
-            left.merged_with(right)
+    def test_halves_must_agree_on_gamma(self):
+        with pytest.raises(InvariantViolation, match="lam"):
+            DecompositionData(
+                gamma=Fraction(1, 2),
+                alphas=(((0, 1), Fraction(1, 2)),),
+                a=Fraction(1),
+                u=Fraction(0),
+                lam=Fraction(3),
+                betas=(((0, 1), Fraction(1)),),
+            )
 
     def test_inconsistent_a_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -214,6 +283,9 @@ class TestDecompositionData:
                 gamma=Fraction(1, 2),
                 alphas=(((0, 1), Fraction(1, 2)),),
                 a=Fraction(3, 2),
+                u=Fraction(0),
+                lam=Fraction(2),
+                betas=(((0, -1), Fraction(1)),),
             )
 
     def test_vector_identity(self):
@@ -221,16 +293,14 @@ class TestDecompositionData:
         rng = random.Random(31)
         for _ in range(30):
             d, n, l = random_instance(rng)
-            v = model_V(d, n)
-            _, _, ydata = model_Y(v, l, 2, Fraction(1, 3))
-            _, _, wdata = model_W_U(d, l, n)
-            gamma = ydata.gamma
+            data = decompose(d, n, l, 2)
+            gamma = data.gamma
             for i in range(d):
                 diff = gamma * n[i] - l[i]
                 via_beta = sum(
-                    (gamma * c * ray[i] for ray, c in wdata.betas), Fraction(0)
+                    (gamma * c * ray[i] for ray, c in data.betas), Fraction(0)
                 )
-                via_alpha = -sum((c * ray[i] for ray, c in ydata.alphas), Fraction(0))
+                via_alpha = -sum((c * ray[i] for ray, c in data.alphas), Fraction(0))
                 assert diff == via_beta == via_alpha
 
 
@@ -294,3 +364,4 @@ class TestClassSplit:
         y, _, data = model_Y(v, (1, 0), 2, Fraction(1, 2))
         with pytest.raises(ValueError, match="different r"):
             log_canonical_class_split(y, data, 3, Fraction(1, 2))
+
