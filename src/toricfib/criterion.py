@@ -10,9 +10,10 @@ sits in the divisorial negative part of K_Y + theta over the base.  Below
 the threshold eps/(3 d r) a set of explicit bounds guarantees the strict
 inequality, and ``scan`` sweeps whole families checking exactly that.
 The certificate reads only the two smallest-cone decompositions of
-``models.decompose``, so it builds no fan: the models Y, W and U and their
-checks (``verify_extraction_identities``, ``log_canonical_class_split``)
-live in ``models`` and are exercised by the tests.
+``models.decompose``, so it builds no fan: the models Y, W and U live in
+``models`` and are exercised by the tests, with the two checks on Y
+(``verify_extraction_identities``, ``log_canonical_class_split``) reading
+the star subdivision that ``model_Y`` returns.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ witness returned here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactmath import (
     InvariantViolation,
@@ -246,30 +246,23 @@ def fiber_multiplicity(fan: Fan, t: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """A star subdivision, recorded with both fans so pullbacks can be
-    validated against it."""
+    """The star subdivision of the coarse fan at new_ray (Cox-Little-Schenck,
+    *Toric Varieties*, 3.3).  The fine fan is built from the other two
+    fields, once, so a record always holds the fans it relates."""
 
     coarse: Fan
-    fine: Fan
     new_ray: LatticeVector
+    fine: Fan = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "new_ray", lattice_vector(self.new_ray))
-        if star_subdivide(self.coarse, self.new_ray) != self.fine:
-            raise ValueError("fans not related by the recorded subdivision")
+        ray = lattice_vector(self.new_ray)
+        object.__setattr__(self, "new_ray", ray)
+        object.__setattr__(self, "fine", star_subdivide(self.coarse, ray))
 
     @classmethod
     def at(cls, fan: Fan, l: Sequence[int]) -> "Subdivision":
-        """The star subdivision of the fan at l.  The fine fan is built
-        here from the coarse one, so the check of ``__post_init__``, which
-        rebuilds it to compare with a fine fan given by the caller, is not
-        run."""
-        vec = lattice_vector(l)
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "coarse", fan)
-        object.__setattr__(sub, "fine", star_subdivide(fan, vec))
-        object.__setattr__(sub, "new_ray", vec)
-        return sub
+        """The star subdivision of the fan at l."""
+        return cls(fan, l)
 
 
 def pullback(subdivision: Subdivision, divisor: ToricDivisor) -> ToricDivisor:

@@ -8,8 +8,11 @@ and swapping the roles of n and l gives W and U.  The decompositions of l
 on its smallest cone in the V-fan and of n on its smallest cone in the
 W-fan carry the log discrepancy and all the coefficients the negativity
 certificate is built from.  ``decompose`` writes both in closed form from
-n and l, with no fan; the models themselves are built for ``surface``, the
-extraction identities and the class split.
+n and l, with no fan.  The models themselves are built for ``surface`` and
+for the two checks on Y, the extraction identities and the class split.
+Each fan is built once: ``model_Y`` returns the star subdivision of V that
+made Y, and both checks read V, l and Y off it; W is the ``model_V`` cache
+entry of l, and U the star subdivision of W at n.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ from .divisors import (
 )
 from .fan import Cone, Fan
 
-MODEL_KINDS = ("X", "V", "Y", "W", "U")
-
-
 @dataclass(frozen=True)
 class FibrationModel:
     """A fan over the affine line with a distinguished vertical ray: the
@@ -54,13 +54,10 @@ class FibrationModel:
 
     fan: Fan
     distinguished_ray: LatticeVector
-    kind: str
 
     def __post_init__(self) -> None:
         ray = lattice_vector(self.distinguished_ray)
         object.__setattr__(self, "distinguished_ray", ray)
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}")
         if ray not in self.fan.ray_set:
             raise ValueError("distinguished ray is not a ray of the fan")
         if ray[0] <= 0:
@@ -108,9 +105,14 @@ class DecompositionData:
 
 
 class YModelResult(NamedTuple):
+    """Y, its boundary theta and the two decompositions, with the star
+    subdivision that made Y: V's fan is ``sub.coarse``, l is
+    ``sub.new_ray`` and Y's fan is ``sub.fine``."""
+
     model: FibrationModel
     theta: ToricDivisor
     data: DecompositionData
+    sub: Subdivision
 
 
 class WUModelResult(NamedTuple):
@@ -118,17 +120,31 @@ class WUModelResult(NamedTuple):
     u: FibrationModel
 
 
-def _v_vector(d: int, n: Sequence[int]) -> LatticeVector:
-    vec = lattice_vector(n)
+def _v_vector(d: int, vec: Sequence[int], name: str) -> LatticeVector:
+    """A vertical vector of a model in d >= 2 dimensions: of length d,
+    primitive and with positive first coordinate.  Messages call it
+    ``name``."""
+    vec = lattice_vector(vec)
     if d < 2:
         raise ValueError("models need ambient dimension >= 2")
     if len(vec) != d:
         raise ValueError("vector dimension does not match d")
     if not is_primitive(vec):
-        raise ValueError("n must be primitive")
+        raise ValueError(f"{name} must be primitive")
     if vec[0] <= 0:
-        raise ValueError("n must have positive first coordinate")
+        raise ValueError(f"{name} must have positive first coordinate")
     return vec
+
+
+def _vertical_pair(
+    d: int, n: Sequence[int], l: Sequence[int]
+) -> tuple[LatticeVector, LatticeVector]:
+    """n and l checked by ``_v_vector``, in that order, and distinct."""
+    nvec = _v_vector(d, n, "n")
+    lvec = _v_vector(d, l, "l")
+    if lvec == nvec:
+        raise ValueError("T and D must be distinct toric prime divisors")
+    return nvec, lvec
 
 
 def horizontal_rays(d: int) -> list[LatticeVector]:
@@ -138,16 +154,16 @@ def horizontal_rays(d: int) -> list[LatticeVector]:
 
 
 @lru_cache(maxsize=16)
-def model_V(d: int, n: Sequence[int], kind: str = "V") -> FibrationModel:
+def model_V(d: int, n: Sequence[int]) -> FibrationModel:
     """The fibration model of a primitive vector n with n_1 > 0: maximal
     cones are spanned by n together with the (d-1)-subsets of the
     horizontal rays {e_2, ..., e_d, c}."""
-    vec = _v_vector(d, n)
+    vec = _v_vector(d, n, "n")
     cones = [
         Cone((vec,) + subset, d)
         for subset in itertools.combinations(horizontal_rays(d), d - 1)
     ]
-    return FibrationModel(Fan(d, tuple(cones)), vec, kind)
+    return FibrationModel(Fan(d, tuple(cones)), vec)
 
 
 def _v_cones(
@@ -197,7 +213,7 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     ``toric_mld``.  Every division by n_1 is checked, for every candidate,
     and a remainder raises ``InvariantViolation``.
     """
-    vec = _v_vector(d, n)
+    vec = _v_vector(d, n, "n")
     n1 = vec[0]
     horizontal = horizontal_rays(d)
     best = min((n1, ray) for ray in [vec] + horizontal)
@@ -221,19 +237,6 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
                 if candidate < best:
                     best = candidate
     return Fraction(best[0], n1), best[1]
-
-
-def _l_vector(d: int, n: LatticeVector, l: Sequence[int]) -> LatticeVector:
-    vec = lattice_vector(l)
-    if not is_primitive(vec):
-        raise ValueError("l must be primitive")
-    if vec[0] <= 0:
-        raise ValueError("l must have positive first coordinate")
-    if vec == n:
-        raise ValueError("T and D must be distinct toric prime divisors")
-    if len(vec) != d:
-        raise ValueError("target dimension mismatch")
-    return vec
 
 
 def _fan_coordinates(w: Sequence[int]) -> list[int]:
@@ -274,8 +277,7 @@ def decompose(d: int, n: Sequence[int], l: Sequence[int], r: int) -> Decompositi
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError("r must be an integer >= 1")
-    nvec = _v_vector(d, n)
-    lvec = _l_vector(d, nvec, l)
+    nvec, lvec = _vertical_pair(d, n, l)
     n1, l1 = nvec[0], lvec[0]
     w = [n1 * li - l1 * ni for ni, li in zip(nvec[1:], lvec[1:])]
     horizontal = horizontal_rays(d)
@@ -292,25 +294,19 @@ def decompose(d: int, n: Sequence[int], l: Sequence[int], r: int) -> Decompositi
     )
 
 
-def vertical_rays(fan: Fan) -> tuple[LatticeVector, ...]:
-    return tuple(r for r in fan.rays if r[0] > 0)
-
-
-def extracted_ray(y_model: FibrationModel) -> LatticeVector:
-    """The second vertical ray of a Y/U fan, i.e. the one obtained by the
-    extraction rather than the distinguished one."""
-    others = [r for r in vertical_rays(y_model.fan) if r != y_model.distinguished_ray]
-    if len(others) != 1:
-        raise ValueError("model does not have exactly one extracted vertical ray")
-    return others[0]
+def _theta(sub: Subdivision, r: int, eps: Rat) -> ToricDivisor:
+    """(1 - eps) D + pullback(r * S_V) on the extraction ``sub`` of D from
+    V, where S_V sums the horizontal prime divisors of V."""
+    return (1 - eps) * ray_divisor(sub.fine, sub.new_ray) + pullback(
+        sub, r * horizontal_sum(sub.coarse)
+    )
 
 
 def model_Y(
     v_model: FibrationModel, l: Sequence[int], r: int, eps: int | Rat
 ) -> YModelResult:
-    """Extract the divisor of l from V and assemble the perturbed boundary
-    (1 - eps) D + pullback(r * S_V), where S_V sums the horizontal prime
-    divisors of V."""
+    """Extract the divisor D of l from V and assemble the perturbed
+    boundary theta of ``_theta``."""
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError("r must be an integer >= 1")
     eps = ensure_rational(eps)
@@ -318,25 +314,18 @@ def model_Y(
         raise ValueError("eps must lie in (0, 1]")
     n = v_model.distinguished_ray
     data = decompose(v_model.fan.ambient_dim, n, l, r)
-    vec = lattice_vector(l)
-    sub = Subdivision.at(v_model.fan, vec)
-    theta = (1 - eps) * ray_divisor(sub.fine, vec) + pullback(sub, r * horizontal_sum(v_model.fan))
-    return YModelResult(FibrationModel(sub.fine, n, "Y"), theta, data)
+    sub = Subdivision.at(v_model.fan, l)
+    return YModelResult(FibrationModel(sub.fine, n), _theta(sub, r, eps), data, sub)
 
 
 def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
-    """The swapped models: W is the fibration model of l, and U extracts n
-    from it.  The swapped decomposition is ``decompose``'s lam and betas."""
-    lvec, nvec = lattice_vector(l), lattice_vector(n)
-    w = model_V(d, lvec, kind="W")
-    if not is_primitive(nvec):
-        raise ValueError("n must be primitive")
-    if nvec[0] <= 0:
-        raise ValueError("n must have positive first coordinate")
-    if nvec == lvec:
-        raise ValueError("T and D must be distinct toric prime divisors")
+    """The swapped models: W is ``model_V(d, l)``, the fibration model of
+    l, and U extracts n from it.  The swapped decomposition is
+    ``decompose``'s lam and betas."""
+    nvec, lvec = _vertical_pair(d, n, l)
+    w = model_V(d, lvec)
     sub = Subdivision.at(w.fan, nvec)
-    return WUModelResult(w, FibrationModel(sub.fine, lvec, "U"))
+    return WUModelResult(w, FibrationModel(sub.fine, lvec))
 
 
 @dataclass(frozen=True)
@@ -356,17 +345,8 @@ class ExtractionReport:
         )
 
 
-def _reconstruct_extraction(y_model: FibrationModel) -> tuple[FibrationModel, Subdivision]:
-    n = y_model.distinguished_ray
-    l = extracted_ray(y_model)
-    v = model_V(y_model.fan.ambient_dim, n)
-    return v, Subdivision(v.fan, y_model.fan, l)
-
-
-def verify_extraction_identities(
-    y_model: FibrationModel, data: DecompositionData
-) -> ExtractionReport:
-    """Check exactly, on the Y-fan:
+def verify_extraction_identities(y: YModelResult) -> ExtractionReport:
+    """Check exactly, on the Y-fan of ``model_Y``'s result:
 
     - K_Y + (1 - a) D equals the pullback of K_V, coefficient by
       coefficient;
@@ -374,16 +354,14 @@ def verify_extraction_identities(
       character witness;
     - n_1 T + l_1 D (the fiber over the origin) is trivial over the base.
     """
-    v, sub = _reconstruct_extraction(y_model)
-    n = y_model.distinguished_ray
-    l = sub.new_ray
-    y_fan = y_model.fan
+    sub, data = y.sub, y.data
+    n, l, y_fan = y.model.distinguished_ray, sub.new_ray, sub.fine
 
     k_y = canonical_divisor(y_fan)
     d_div = ray_divisor(y_fan, l)
     t_div = ray_divisor(y_fan, n)
-    crepant = k_y + (1 - data.a) * d_div == pullback(sub, canonical_divisor(v.fan))
-    lc = k_y + (1 - data.a) * d_div + pullback(sub, horizontal_sum(v.fan))
+    crepant = k_y + (1 - data.a) * d_div == pullback(sub, canonical_divisor(sub.coarse))
+    lc = k_y + (1 - data.a) * d_div + pullback(sub, horizontal_sum(sub.coarse))
     lc_witness = rel_lin_equiv(y_fan, lc, zero_divisor(y_fan))
     fiber = n[0] * t_div + l[0] * d_div
     fiber_witness = rel_lin_equiv(y_fan, fiber, zero_divisor(y_fan))
@@ -391,24 +369,22 @@ def verify_extraction_identities(
 
 
 def log_canonical_class_split(
-    y_model: FibrationModel, data: DecompositionData, r: int, eps: int | Rat
+    y: YModelResult, r: int, eps: int | Rat
 ) -> tuple[Rat, ToricDivisor]:
-    """The class of K_Y + theta over the base, split against the transforms:
+    """The class of K_Y + theta over the base, split against the transforms,
+    on the Y-fan of ``model_Y``'s result with theta rebuilt for r and eps:
     returns c = (eps - a - u) n_1/l_1 and verifies exactly that
     K_Y + theta is equivalent to c*T + (r-1)*S over the base.  The returned
     divisor is the residue of that identity and is always zero."""
     eps = ensure_rational(eps)
+    sub, data = y.sub, y.data
     u = (r - 1) * data.alpha_sum
     if data.u != u:
         raise ValueError("decomposition data was built for a different r")
-    v, sub = _reconstruct_extraction(y_model)
-    n = y_model.distinguished_ray
-    l = sub.new_ray
-    y_fan = y_model.fan
+    n, l, y_fan = y.model.distinguished_ray, sub.new_ray, sub.fine
 
-    theta = (1 - eps) * ray_divisor(y_fan, l) + pullback(sub, r * horizontal_sum(v.fan))
     c = (eps - data.a - u) * Fraction(n[0], l[0])
-    lhs = canonical_divisor(y_fan) + theta
+    lhs = canonical_divisor(y_fan) + _theta(sub, r, eps)
     rhs = c * ray_divisor(y_fan, n) + (r - 1) * horizontal_sum(y_fan)
     witness = rel_lin_equiv(y_fan, lhs, rhs)
     if witness is None:

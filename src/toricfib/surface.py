@@ -25,8 +25,8 @@ from .divisors import (
     support_function,
     zero_divisor,
 )
-from .exactmath import LatticeVector, Rat, ensure_rational, lattice_vector
-from .fan import Cone, Fan, multiplicity, standard_fibration_fan
+from .exactmath import InvariantViolation, LatticeVector, Rat, ensure_rational, lattice_vector
+from .fan import Cone, Fan, multiplicity
 from .models import FibrationModel, model_V, model_Y
 
 
@@ -73,15 +73,6 @@ class SurfaceModel:
         )
         return Fan(2, cones)
 
-    @classmethod
-    def from_fan(cls, fan: Fan) -> "SurfaceModel":
-        if fan.ambient_dim != 2:
-            raise ValueError("surface models are 2-dimensional")
-        model = cls(fan.rays)
-        if model.fan != fan:
-            raise ValueError("fan is not a consecutive-pair fibration surface fan")
-        return model
-
 
 def intersect(model: SurfaceModel, divisor: ToricDivisor, ray: Sequence[int]) -> Rat:
     """Exact intersection number of a divisor with the complete curve of an
@@ -111,11 +102,12 @@ def intersect(model: SurfaceModel, divisor: ToricDivisor, ray: Sequence[int]) ->
 
 @dataclass(frozen=True)
 class ChainModels:
-    """The standard surface fan X and the two contractions Y and V of the
-    blowup chain over it that realizes the vector (n, 1)."""
+    """The two contractions Y and V of the blowup chain over the standard
+    surface fan that realizes the vector (n, 1), with the surface of Y that
+    intersection numbers are computed on; ``y.fan`` is ``surface.fan``."""
 
     n: int
-    x: FibrationModel
+    surface: SurfaceModel
     y: FibrationModel
     v: FibrationModel
 
@@ -127,13 +119,13 @@ def example_models(n: int) -> ChainModels:
     contracting (1, 0) as well gives V.  Y and V are built directly."""
     if n < 1:
         raise ValueError("the chain needs n >= 1 blowups")
-    y_fan = SurfaceModel(((0, 1), (n, 1), (1, 0), (0, -1))).fan
+    surface = SurfaceModel(((0, 1), (n, 1), (1, 0), (0, -1)))
     v_fan = SurfaceModel(((0, 1), (n, 1), (0, -1))).fan
     return ChainModels(
         n=n,
-        x=FibrationModel(standard_fibration_fan(2), (1, 0), "X"),
-        y=FibrationModel(y_fan, (n, 1), "Y"),
-        v=FibrationModel(v_fan, (n, 1), "V"),
+        surface=surface,
+        y=FibrationModel(surface.fan, (n, 1)),
+        v=FibrationModel(v_fan, (n, 1)),
     )
 
 
@@ -177,12 +169,12 @@ def example_verify(n: int, r: int, eps: int | Rat) -> ChainReport:
     d_ray = (1, 0)
 
     a = log_discrepancy(chain.v.fan, zero_divisor(chain.v.fan), d_ray)
-    surface = SurfaceModel.from_fan(chain.y.fan)
-    d_dot_t = intersect(surface, ray_divisor(chain.y.fan, d_ray), t_ray)
-    y, theta, _ = model_Y(model_V(2, t_ray), d_ray, r, eps)
-    if y.fan != chain.y.fan:
-        raise RuntimeError("chain Y-fan disagrees with the model construction")
-    pairing = intersect(surface, canonical_divisor(chain.y.fan) + theta, t_ray)
+    surface = chain.surface
+    d_dot_t = intersect(surface, ray_divisor(surface.fan, d_ray), t_ray)
+    y = model_Y(model_V(2, t_ray), d_ray, r, eps)
+    if y.model.fan != surface.fan:
+        raise InvariantViolation("chain Y-fan disagrees with the model construction")
+    pairing = intersect(surface, canonical_divisor(surface.fan) + y.theta, t_ray)
     report = certify(2, r, eps, t_ray, d_ray)
     return ChainReport(
         n=n,

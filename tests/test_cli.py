@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfib import cli, criterion, serialize
+from toricfib import cli, criterion, serialize, surface
 from toricfib.exactmath import InvariantViolation
 
 CERTIFY = ["certify", "--d", "2", "--r", "1", "--eps", "1/2", "--n", "5,1", "--l", "1,0"]
@@ -23,6 +23,23 @@ def test_invariant_violation_is_a_json_record(monkeypatch, capsys):
         "kind": "internal-error",
         "message": "the two smallest-cone decompositions do not glue",
         "argv": CERTIFY,
+    }
+
+
+def test_example_model_disagreement_is_a_json_record(monkeypatch, capsys):
+    model_Y = surface.model_Y
+    monkeypatch.setattr(
+        surface, "model_Y", lambda v, l, r, eps: model_Y(surface.model_V(2, (7, 1)), l, r, eps)
+    )
+    argv = ["example", "--n", "6", "--r", "1", "--eps", "1/2"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "schema_version": 1,
+        "kind": "internal-error",
+        "message": "chain Y-fan disagrees with the model construction",
+        "argv": argv,
     }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import fan_certify, fan_decomposition
 
-from toricfib import criterion, fan, serialize
+from toricfib import criterion, divisors, fan, serialize
 from toricfib.criterion import (
     _scan_instance,
     certify,
@@ -206,7 +206,9 @@ class TestCertifyClosedForm:
 
 
 # certify's exception for invalid input, recorded before the closed form
-# replaced the fan route: (d, r, eps, n, l), type, message
+# replaced the fan route: (d, r, eps, n, l), type, message.  n and l share
+# one validator, so an l of the wrong length gets n's length message before
+# any other check on l.
 CERTIFY_ERRORS = [
     ((1, 1, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "d must be an integer >= 2"),
     ((True, 1, Fraction(1, 2), (2, 1), (1, 0)), ValueError, "d must be an integer >= 2"),
@@ -225,12 +227,13 @@ CERTIFY_ERRORS = [
     ((2, 1, Fraction(1, 2), (3, 1), (0, 1)), ValueError, "l must have positive first coordinate"),
     ((2, 1, Fraction(1, 2), (3, 1), (-1, 1)), ValueError, "l must have positive first coordinate"),
     ((2, 1, Fraction(1, 2), (3, 1), (3, 1)), ValueError, "T and D must be distinct toric prime divisors"),
-    ((2, 1, Fraction(1, 2), (3, 1), (1, 0, 0)), ValueError, "target dimension mismatch"),
-    ((3, 1, Fraction(1, 2), (3, 1, 1), (1, 0)), ValueError, "target dimension mismatch"),
+    ((2, 1, Fraction(1, 2), (3, 1), (1, 0, 0)), ValueError, "vector dimension does not match d"),
+    ((3, 1, Fraction(1, 2), (3, 1, 1), (1, 0)), ValueError, "vector dimension does not match d"),
     ((2, 1, Fraction(1, 2), (3, 1), ()), ValueError, "lattice vectors must have dimension >= 1"),
     ((2, 1, Fraction(1, 2), (3, 1), (1.0, 0)), TypeError, "lattice vector entries must be ints, got 1.0"),
     ((2, 1, Fraction(1, 2), (2, 4), (2, 4)), ValueError, "n must be primitive"),
     ((3, 1, Fraction(1, 2), (2, 1), (2, 4)), ValueError, "vector dimension does not match d"),
+    ((2, 1, Fraction(1, 2), (3, 1), (2, 4, 6)), ValueError, "vector dimension does not match d"),
 ]
 
 
@@ -249,14 +252,34 @@ class TestSingularStratum:
     @pytest.mark.parametrize("n,l", SINGULAR_SLICE)
     def test_models_and_identities(self, n, l):
         d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
-        y, _, data = model_Y(model_V(d, n), l, r, eps)
+        y = model_Y(model_V(d, n), l, r, eps)
+        data = y.data
         assert data == fan_decomposition(d, n, l, r)
-        assert verify_extraction_identities(y, data).all_pass
-        c, residue = log_canonical_class_split(y, data, r, eps)
+        assert verify_extraction_identities(y).all_pass
+        c, residue = log_canonical_class_split(y, r, eps)
         assert residue.is_zero()
         assert c == (eps - data.a - data.u) * Fraction(n[0], l[0])
         _, u = model_W_U(d, l, n)
-        assert u.fan.rays == y.fan.rays
+        assert u.fan.rays == y.model.fan.rays
+
+    def test_each_model_is_built_once(self, monkeypatch):
+        # Y and U are one star subdivision each; the checks on Y read the
+        # one model_Y made, and W is the cache entry of model_V(d, l)
+        d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
+        n, l = SINGULAR_SLICE[0]
+        calls = []
+
+        def counted(coarse, ray):
+            calls.append(ray)
+            return fan.star_subdivide(coarse, ray)
+
+        monkeypatch.setattr(divisors, "star_subdivide", counted)
+        y = model_Y(model_V(d, n), l, r, eps)
+        assert verify_extraction_identities(y).all_pass
+        log_canonical_class_split(y, r, eps)
+        w, _ = model_W_U(d, l, n)
+        assert calls == [l, n]
+        assert w is model_V(d, l)
 
 
 class TestExplicitBounds:

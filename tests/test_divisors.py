@@ -273,13 +273,15 @@ class TestPullback:
         sub = Subdivision.at(fan, (1, 1))
         assert calls == [(1, 1)]
         monkeypatch.undo()
-        assert sub == Subdivision(fan, star_subdivide(fan, (1, 1)), (1, 1))
+        assert sub == Subdivision(fan, (1, 1))
 
-    def test_wrong_record_rejected(self):
-        fan = standard_fibration_fan(2)
-        other = Subdivision.at(fan, (1, 2)).fine
-        with pytest.raises(ValueError, match="not related"):
-            Subdivision(fan, other, (1, 1))
+    def test_fine_fan_is_built_not_given(self):
+        fan = model_V(3, (3, 1, 0)).fan
+        sub = Subdivision(fan, [1, 1, 0])
+        assert sub.new_ray == (1, 1, 0)
+        assert sub.fine == star_subdivide(fan, (1, 1, 0))
+        with pytest.raises(TypeError, match="fine"):
+            Subdivision(fan, (1, 1, 0), fine=sub.fine)
 
     def test_support_function_commutes(self):
         fan = skew_model_fan(5)

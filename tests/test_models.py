@@ -133,7 +133,8 @@ class TestModelVMld:
 class TestModelY:
     def test_skew_family_data(self):
         v = model_V(2, (6, 1))
-        y, theta, data = model_Y(v, (1, 0), 3, Fraction(1, 2))
+        y, theta, data, sub = model_Y(v, (1, 0), 3, Fraction(1, 2))
+        assert sub.coarse is v.fan and sub.new_ray == (1, 0) and sub.fine is y.fan
         assert y.fan.rays == ((0, -1), (0, 1), (1, 0), (6, 1))
         assert data.gamma == Fraction(1, 6)
         assert dict(data.alphas) == {(0, -1): Fraction(1, 6)}
@@ -148,13 +149,13 @@ class TestModelY:
 
     def test_degenerate_parameters(self):
         v = model_V(2, (6, 1))
-        _, theta, data = model_Y(v, (1, 0), 1, Fraction(1))
+        _, theta, data, _ = model_Y(v, (1, 0), 1, Fraction(1))
         assert theta.as_dict() == {(1, 0): Fraction(1, 6), (0, 1): 1, (0, -1): 1}
         assert data.u == 0
 
     def test_dimension_three_hand_case(self):
         v = model_V(3, (1, 0, 0))
-        _, _, data = model_Y(v, (1, 1, 0), 1, Fraction(1, 2))
+        data = model_Y(v, (1, 1, 0), 1, Fraction(1, 2)).data
         assert data.gamma == 1
         assert dict(data.alphas) == {(0, 1, 0): 1}
         assert data.a == 2
@@ -171,9 +172,9 @@ class TestModelY:
 
     def test_single_blowup_of_identity_model(self):
         v = model_V(2, (1, 0))
-        y, _, data = model_Y(v, (1, 1), 1, Fraction(1, 2))
-        assert y.fan.rays == ((0, -1), (0, 1), (1, 0), (1, 1))
-        assert data.a == 2  # smooth point blowup
+        y = model_Y(v, (1, 1), 1, Fraction(1, 2))
+        assert y.model.fan.rays == ((0, -1), (0, 1), (1, 0), (1, 1))
+        assert y.data.a == 2  # smooth point blowup
 
 
 class TestModelWU:
@@ -198,9 +199,25 @@ class TestModelWU:
         for _ in range(20):
             d, n, l = random_instance(rng, d=3)
             v = model_V(d, n)
-            y, _, _ = model_Y(v, l, 1, Fraction(1, 2))
+            y = model_Y(v, l, 1, Fraction(1, 2)).model
             _, u = model_W_U(d, l, n)
             assert y.fan.rays == u.fan.rays
+
+    @pytest.mark.parametrize(
+        "d,l,n,message",
+        [
+            (2, (2, 4), (3, 1), "l must be primitive"),
+            (2, (0, 1), (3, 1), "l must have positive first coordinate"),
+            (2, (1, 0, 0), (3, 1), "vector dimension does not match d"),
+            (2, (1, 0), (2, 4), "n must be primitive"),
+            (2, (1, 0), (-1, 1), "n must have positive first coordinate"),
+            (2, (1, 0), (1, 0), "T and D must be distinct toric prime divisors"),
+            (1, (1,), (2,), "models need ambient dimension >= 2"),
+        ],
+    )
+    def test_messages_name_the_bad_vector(self, d, l, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_W_U(d, l, n)
 
 
 def random_vertical(rng, d, top):
@@ -308,8 +325,7 @@ class TestExtractionIdentities:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_skew_family(self, n):
         v = model_V(2, (n, 1))
-        y, _, data = model_Y(v, (1, 0), 1, Fraction(1, 2))
-        report = verify_extraction_identities(y, data)
+        report = verify_extraction_identities(model_Y(v, (1, 0), 1, Fraction(1, 2)))
         assert report.crepant_exact
         assert report.lc_trivial_witness is not None
         assert report.fiber_trivial_witness is not None
@@ -317,34 +333,30 @@ class TestExtractionIdentities:
 
     def test_dimension_three(self):
         v = model_V(3, (3, 1, 0))
-        y, _, data = model_Y(v, (1, 1, 1), 2, Fraction(1, 3))
-        assert verify_extraction_identities(y, data).all_pass
+        assert verify_extraction_identities(model_Y(v, (1, 1, 1), 2, Fraction(1, 3))).all_pass
 
     def test_randomized(self):
         rng = random.Random(13)
         for _ in range(25):
             d, n, l = random_instance(rng)
             v = model_V(d, n)
-            y, _, data = model_Y(v, l, rng.randint(1, 3), Fraction(1, rng.randint(1, 4)))
-            assert verify_extraction_identities(y, data).all_pass
+            y = model_Y(v, l, rng.randint(1, 3), Fraction(1, rng.randint(1, 4)))
+            assert verify_extraction_identities(y).all_pass
 
 
 class TestClassSplit:
     @pytest.mark.parametrize("n,r,eps", [(6, 1, Fraction(1, 2)), (5, 3, Fraction(1, 5))])
     def test_skew_family_closed_form(self, n, r, eps):
         v = model_V(2, (n, 1))
-        y, _, data = model_Y(v, (1, 0), r, eps)
-        c, residue = log_canonical_class_split(y, data, r, eps)
+        c, residue = log_canonical_class_split(model_Y(v, (1, 0), r, eps), r, eps)
         assert c == (eps - Fraction(2, n) - Fraction(r - 1, n)) * n
         assert residue.is_zero()
 
     def test_boundary_case_zero_coefficient(self):
         v = model_V(2, (4, 1))
-        y, _, data = model_Y(v, (1, 0), 1, Fraction(1, 2))
         # eps = a + u makes the leading coefficient vanish
-        eps = data.a
-        y2, _, data2 = model_Y(v, (1, 0), 1, eps)
-        c, _ = log_canonical_class_split(y2, data2, 1, eps)
+        eps = model_Y(v, (1, 0), 1, Fraction(1, 2)).data.a
+        c, _ = log_canonical_class_split(model_Y(v, (1, 0), 1, eps), 1, eps)
         assert c == 0
 
     def test_randomized_exact(self):
@@ -354,14 +366,14 @@ class TestClassSplit:
             r = rng.randint(1, 3)
             eps = Fraction(rng.randint(1, 4), 4)
             v = model_V(d, n)
-            y, _, data = model_Y(v, l, r, eps)
-            c, residue = log_canonical_class_split(y, data, r, eps)
+            y = model_Y(v, l, r, eps)
+            c, residue = log_canonical_class_split(y, r, eps)
             assert residue.is_zero()
-            assert c == (eps - data.a - data.u) * Fraction(n[0], l[0])
+            assert c == (eps - y.data.a - y.data.u) * Fraction(n[0], l[0])
 
     def test_r_mismatch_rejected(self):
         v = model_V(2, (4, 1))
-        y, _, data = model_Y(v, (1, 0), 2, Fraction(1, 2))
+        y = model_Y(v, (1, 0), 2, Fraction(1, 2))
         with pytest.raises(ValueError, match="different r"):
-            log_canonical_class_split(y, data, 3, Fraction(1, 2))
+            log_canonical_class_split(y, 3, Fraction(1, 2))
 

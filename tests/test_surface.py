@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from toricfib import surface
 from toricfib.divisors import ToricDivisor, character_divisor, ray_divisor
-from toricfib.fan import standard_fibration_fan
+from toricfib.exactmath import InvariantViolation
 from toricfib.surface import SurfaceModel, example_models, example_verify, intersect
 from oracles import surface_intersection
 
@@ -78,12 +79,22 @@ def test_example_verify_closed_forms(r):
 
 def test_example_models():
     chain = example_models(6)
-    assert chain.x.fan == standard_fibration_fan(2)
+    assert chain.y.fan is chain.surface.fan
     assert chain.y.fan.rays == ((0, -1), (0, 1), (1, 0), (6, 1))
     assert chain.v.fan.rays == ((0, -1), (0, 1), (6, 1))
     assert chain.y.distinguished_ray == chain.v.distinguished_ray == (6, 1)
     with pytest.raises(ValueError, match="n >= 1"):
         example_models(0)
+
+
+def test_example_verify_rejects_a_disagreeing_model_Y(monkeypatch):
+    # model_Y extracting (1, 0) from the V model of (n + 1, 1): not the chain's Y
+    model_Y = surface.model_Y
+    monkeypatch.setattr(
+        surface, "model_Y", lambda v, l, r, eps: model_Y(surface.model_V(2, (7, 1)), l, r, eps)
+    )
+    with pytest.raises(InvariantViolation, match="disagrees"):
+        example_verify(6, 1, Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
