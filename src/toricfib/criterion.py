@@ -7,8 +7,11 @@ extracted divisor D) with parameters r and eps, the certificate compares
 
 with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
-the threshold eps/(3 d r) a set of explicit bounds guarantees the strict
-inequality, and ``scan`` sweeps whole families checking exactly that.
+the threshold eps' = eps/(3 d r) a set of explicit bounds guarantees the
+strict inequality, and ``scan`` sweeps whole families checking exactly
+that.  It classifies each n by ``models.model_V_mld_below`` at eps', which
+visits only the box-point slices k < eps' n_1 of the V model, so an n with
+n_1 <= 1/eps' costs no box point at all.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -18,6 +21,8 @@ the star subdivision that ``model_Y`` returns.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from .exactmath import (
     ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, decompose, horizontal_rays, model_V_mld
+from .models import DecompositionData, decompose, horizontal_rays, model_V_mld_below
 
 
 @dataclass(frozen=True)
@@ -213,30 +218,19 @@ class ScanSummary:
 def primitive_family(d: int, bound: int) -> Iterator[LatticeVector]:
     """All primitive n with 0 < n_1 <= bound and |n_i| <= bound, in
     lexicographic order."""
-    from math import gcd
-
-    def rest(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == 0:
-            yield ()
-            return
-        for value in range(-bound, bound + 1):
-            for tail in rest(depth - 1):
-                yield (value,) + tail
-
-    for n1 in range(1, bound + 1):
-        for tail in rest(d - 1):
-            vec = (n1,) + tail
-            if gcd(*(abs(e) for e in vec)) == 1:
-                yield vec
+    for n in itertools.product(range(1, bound + 1), *[range(-bound, bound + 1)] * (d - 1)):
+        if math.gcd(*n) == 1:
+            yield n
 
 
 def _scan_instance(
     args: tuple[int, int, Rat, Rat, LatticeVector],
 ) -> tuple[LatticeVector, bool, CertificateReport | None]:
     d, r, eps, eps_p, n = args
-    value, minimizer = model_V_mld(d, n)
-    if value >= eps_p:
+    below = model_V_mld_below(d, n, eps_p)
+    if below is None:
         return n, True, None
+    minimizer = below[1]
     if minimizer[0] <= 0:
         raise InvariantViolation(
             "an mld minimizer below the threshold must be vertical"
@@ -248,7 +242,10 @@ def scan(
     d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
 ) -> ScanSummary:
     """Classify every primitive n in the family and certify the singular
-    ones, in deterministic instance order.  ``jobs`` caps the worker
+    ones, in deterministic instance order.  An n is eps_prime-lc when
+    ``model_V_mld_below(d, n, eps_prime)`` finds no value below eps_prime,
+    which visits only the slices k < eps_prime n_1; otherwise its minimizer
+    is l.  ``jobs`` caps the worker
     processes (None: the usable CPUs); at most one per usable CPU and per
     instance is started, since the pool forks all of them at once."""
     eps = ensure_rational(eps)

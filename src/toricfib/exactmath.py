@@ -45,6 +45,8 @@ def rational_vector(entries: Iterable[int | Fraction]) -> RationalVector:
 
 
 def ensure_rational(value: int | Fraction) -> Fraction:
+    if type(value) is Fraction:
+        return value  # immutable, so no copy is needed
     if isinstance(value, float):
         raise TypeError("floating point is not allowed; use Fraction")
     return Fraction(value)
@@ -70,8 +72,8 @@ def primitive(v: Sequence[int]) -> LatticeVector:
 
 
 def is_primitive(v: Sequence[int]) -> bool:
-    vec = lattice_vector(v)
-    return any(e != 0 for e in vec) and primitive(vec) == vec
+    """True when the entries have gcd 1; the gcd of a zero vector is 0."""
+    return math.gcd(*lattice_vector(v)) == 1
 
 
 def _bareiss(rows: list[list[int]]) -> list[int]:

@@ -210,13 +210,64 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     As in ``toric_mld``, non-primitive points are skipped and the d+1 rays
     enter with value 1 = n_1/n_1.  All values share the denominator n_1,
     so the minimum over (numerator, point) is the tie rule of
-    ``toric_mld``.  Every division by n_1 is checked, for every candidate,
-    and a remainder raises ``InvariantViolation``.
+    ``toric_mld``.  This is ``model_V_mld_below`` with no threshold: the
+    rays always compete, and its lemma bounds the slices visited by the
+    running minimum.  Every division by n_1 is checked, for every point
+    built, and a remainder raises ``InvariantViolation``.
     """
     vec = _v_vector(d, n, "n")
+    return _v_box_minimum(d, vec, vec[0] + 1)
+
+
+def model_V_mld_below(
+    d: int, n: Sequence[int], thr: int | Rat
+) -> tuple[Rat, LatticeVector] | None:
+    """``model_V_mld(d, n)`` when its value is below ``thr``, else None,
+    visiting only the slices k < thr n_1 of the box points.  Raises the
+    ``ValueError``s of ``model_V`` for n.
+
+    Lemma: with k, a_i and the slices as in ``model_V_mld``, a box point of
+    slice k with 1 <= k < n_1 has numerator k + sum(a_i) >= k + 1.  Proof:
+    the a_i are >= 0, and if they were all 0 the point k n / n_1 would be
+    a lattice point, so n_1 would divide k n_i for every i; n is primitive,
+    so n_1 would divide k, which lies strictly between 0 and n_1.
+
+    Every value is a numerator over n_1, so with thr = p/q a value is
+    below thr exactly when num q < p n_1, that is when num < C with
+    C = ceil(p n_1 / q); C is computed once in integers, and no
+    ``Fraction`` enters the loop.  The search keeps the best (numerator,
+    point) so far, starting from the bound (C, ()), which no candidate of
+    numerator >= C beats.  It visits slice k only while k < the best
+    numerator: by the lemma every candidate of slice k and of the slices
+    after it has numerator > k, so once k reaches the best numerator none
+    of them is below the bound or ties the best.  In particular only
+    slices with k < C, that is k < thr n_1, are visited, and none when
+    C <= 1.  The d+1 rays have numerator n_1 and enter only when n_1 < C,
+    that is when 1 < thr.  So every candidate of value below thr is
+    compared, and since all values share the denominator n_1, tied
+    candidates share a numerator and the (numerator, point) tie rule of
+    ``model_V_mld`` picks the same minimizer.  Every point built is still
+    checked by the division by n_1.
+    """
+    vec = _v_vector(d, n, "n")
+    thr = ensure_rational(thr)
+    cap = -(-thr.numerator * vec[0] // thr.denominator)
+    return _v_box_minimum(d, vec, cap)
+
+
+def _v_box_minimum(
+    d: int, vec: LatticeVector, cap: int
+) -> tuple[Rat, LatticeVector] | None:
+    """The (value, minimizer) of ``model_V_mld`` over the candidates of
+    numerator below ``cap``, or None when there is none; the box-point
+    loop of both functions, proved in their docstrings."""
     n1 = vec[0]
+    if cap <= 1:
+        return None
     horizontal = horizontal_rays(d)
-    best = min((n1, ray) for ray in [vec] + horizontal)
+    best: tuple[int, LatticeVector] = (cap, ())
+    if n1 < cap:
+        best = min((n1, ray) for ray in [vec] + horizontal)
     # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
     cones = [
         ([(ni, hs) for ni, *hs in zip(vec, *rays)], b)
@@ -224,6 +275,8 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     ]
     mul = operator.mul
     for k in range(1, n1):
+        if k >= best[0]:
+            break
         for rows, b in cones:
             a = [(-k * bi) % n1 for bi in b]
             point = []
@@ -236,6 +289,8 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
                 candidate = (k + sum(a), tuple(point))
                 if candidate < best:
                     best = candidate
+    if not best[1]:
+        return None
     return Fraction(best[0], n1), best[1]
 
 

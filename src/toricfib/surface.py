@@ -27,7 +27,7 @@ from .divisors import (
 )
 from .exactmath import InvariantViolation, LatticeVector, Rat, ensure_rational, lattice_vector
 from .fan import Cone, Fan, multiplicity
-from .models import FibrationModel, model_V, model_Y
+from .models import FibrationModel, model_Y
 
 
 def _angular_order(rays: Sequence[LatticeVector]) -> list[LatticeVector]:
@@ -171,7 +171,7 @@ def example_verify(n: int, r: int, eps: int | Rat) -> ChainReport:
     a = log_discrepancy(chain.v.fan, zero_divisor(chain.v.fan), d_ray)
     surface = chain.surface
     d_dot_t = intersect(surface, ray_divisor(surface.fan, d_ray), t_ray)
-    y = model_Y(model_V(2, t_ray), d_ray, r, eps)
+    y = model_Y(chain.v, d_ray, r, eps)
     if y.model.fan != surface.fan:
         raise InvariantViolation("chain Y-fan disagrees with the model construction")
     pairing = intersect(surface, canonical_divisor(surface.fan) + y.theta, t_ray)

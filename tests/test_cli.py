@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfib import cli, criterion, serialize, surface
+from toricfib import cli, criterion, models, serialize, surface
 from toricfib.exactmath import InvariantViolation
 
 CERTIFY = ["certify", "--d", "2", "--r", "1", "--eps", "1/2", "--n", "5,1", "--l", "1,0"]
@@ -29,7 +29,7 @@ def test_invariant_violation_is_a_json_record(monkeypatch, capsys):
 def test_example_model_disagreement_is_a_json_record(monkeypatch, capsys):
     model_Y = surface.model_Y
     monkeypatch.setattr(
-        surface, "model_Y", lambda v, l, r, eps: model_Y(surface.model_V(2, (7, 1)), l, r, eps)
+        surface, "model_Y", lambda v, l, r, eps: model_Y(models.model_V(2, (7, 1)), l, r, eps)
     )
     argv = ["example", "--n", "6", "--r", "1", "--eps", "1/2"]
     assert cli.main(argv) == cli.EXIT_INTERNAL

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import random
 from dataclasses import replace
@@ -24,6 +25,7 @@ from toricfib.models import (
     decompose,
     log_canonical_class_split,
     model_V,
+    model_V_mld,
     model_W_U,
     model_Y,
     verify_extraction_identities,
@@ -337,6 +339,16 @@ class TestPrimitiveFamily:
         assert family == sorted(family)
         assert len(family) == len(set(family))
 
+    @pytest.mark.parametrize("d,bound", [(2, 1), (2, 9), (3, 5), (4, 3)])
+    def test_equals_a_sorted_filter(self, d, bound):
+        # 0 < n_1 <= bound, so a common divisor m > 1 would be at most bound
+        expected = sorted(
+            n
+            for n in itertools.product(range(-bound, bound + 1), repeat=d)
+            if n[0] > 0 and not any(all(x % m == 0 for x in n) for m in range(2, bound + 1))
+        )
+        assert list(primitive_family(d, bound)) == expected
+
 
 class TestScan:
     def test_bound_one_is_smooth_only(self):
@@ -374,6 +386,25 @@ class TestScan:
             assert report.fires
             assert verify_explicit_bounds(report)
         assert _scan_instance((3, 2, eps, eps_p, (113, 2, 1))) == ((113, 2, 1), True, None)
+
+    def test_d3_singular_sweep(self):
+        # every primitive n with 109 <= n_1 <= 150 and |n_2|, |n_3| <= 1,
+        # classified as scan classifies it and checked against the full mld
+        d, r, eps = 3, 2, Fraction(1, 3)
+        eps_p = epsilon_prime(d, r, eps)
+        family = [
+            n
+            for n in itertools.product(range(109, 151), (-1, 0, 1), (-1, 0, 1))
+            if is_primitive(n)
+        ]
+        results = [_scan_instance((d, r, eps, eps_p, n)) for n in family]
+        reports = [report for _, is_lc, report in results if not is_lc]
+        assert (len(results), len(reports)) == (336, 126)
+        assert all(report.fires and verify_explicit_bounds(report) for report in reports)
+        for n, is_lc, report in results:
+            value, minimizer = model_V_mld(d, n)
+            assert is_lc == (value >= eps_p)
+            assert is_lc or (report.n, report.a, report.l) == (n, value, minimizer)
 
     def test_parallel_matches_serial(self):
         serial = scan(2, 1, Fraction(1, 2), 26, jobs=1)

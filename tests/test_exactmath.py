@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
@@ -11,6 +11,8 @@ from toricfib.exactmath import (
     InvariantViolation,
     adjugate,
     det,
+    ensure_rational,
+    is_primitive,
     parallelepiped_points,
     primitive,
     rank,
@@ -54,6 +56,32 @@ class TestPrimitive:
         p = primitive(v)
         g = next(abs(a) // abs(b) for a, b in zip(v, p) if b != 0)
         assert tuple(g * e for e in p) == tuple(v)
+
+
+class TestIsPrimitive:
+    @given(st.lists(st.integers(-12, 12), min_size=1, max_size=5))
+    @example([0])
+    @example([0, 0, 0])
+    @example([-3, 0, 6])
+    @example([-1])
+    @example([0, -1])
+    @example([6, 10, 15])
+    def test_matches_the_primitive_definition(self, v):
+        # entries this small make zero vectors and gcds > 1 common
+        expected = any(e != 0 for e in v) and primitive(v) == tuple(v)
+        assert is_primitive(v) == expected
+
+    def test_validates_entries(self):
+        with pytest.raises(TypeError):
+            is_primitive((1.0, 2))
+        with pytest.raises(ValueError, match="dimension"):
+            is_primitive(())
+
+
+def test_ensure_rational_returns_a_fraction_unchanged():
+    x = Fraction(3, 7)
+    assert ensure_rational(x) is x
+    assert type(ensure_rational(-4)) is Fraction and ensure_rational(-4) == -4
 
 
 class TestSolveInBasis:

@@ -18,6 +18,7 @@ from toricfib.models import (
     log_canonical_class_split,
     model_V,
     model_V_mld,
+    model_V_mld_below,
     model_W_U,
     model_Y,
     verify_extraction_identities,
@@ -117,6 +118,8 @@ class TestModelVMld:
             model_V(d, n)
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
             model_V_mld(d, n)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            model_V_mld_below(d, n, Fraction(1, 2))
 
     def test_corrupted_coordinates_trip_the_division_check(self, monkeypatch):
         cones = models._v_cones
@@ -128,6 +131,58 @@ class TestModelVMld:
         monkeypatch.setattr(models, "_v_cones", corrupted)
         with pytest.raises(InvariantViolation, match="not a lattice point"):
             model_V_mld(2, (5, 1))
+        # slices 1 and 2 lie below 1/54 at n_1 = 109
+        with pytest.raises(InvariantViolation, match="not a lattice point"):
+            model_V_mld_below(3, (109, 1, 1), Fraction(1, 54))
+
+
+def full_below(d, n, thr):
+    """The oracle: model_V_mld, kept when its value is below thr."""
+    full = model_V_mld(d, n)
+    return full if full[0] < thr else None
+
+
+class TestModelVMldBelow:
+    # 1/54 is the eps' of scan-d3 and 1/12 that of scan-d2; 2 > 1 lets the rays compete
+    @pytest.mark.parametrize("d,bound", [(2, 40), (3, 8), (4, 3)])
+    def test_agrees_on_the_scan_families(self, d, bound):
+        thresholds = [Fraction(1, 54), Fraction(1, 12), Fraction(1, 5), Fraction(2)]
+        for n in primitive_family(d, bound):
+            for thr in thresholds:
+                assert model_V_mld_below(d, n, thr) == full_below(d, n, thr)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_at_random_thresholds(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n = random_vertical(rng, d, 300)
+        q = rng.randint(1, 2 * n[0])
+        value = model_V_mld(d, n)[0]
+        # a random thr in (0, 2], the value itself and a rational just above it
+        for thr in (Fraction(rng.randint(1, 2 * q), q), value, value + Fraction(1, 10 ** 6)):
+            assert model_V_mld_below(d, n, thr) == full_below(d, n, thr)
+
+    def test_skew_family_at_its_value(self):
+        # (N, 1) has mld 2/N at (1, 0), found in slice 1
+        assert model_V_mld_below(2, (9, 1), Fraction(2, 9)) is None
+        assert model_V_mld_below(2, (9, 1), Fraction(3, 13)) == (Fraction(2, 9), (1, 0))
+        assert model_V_mld_below(2, (9, 1), 1) == (Fraction(2, 9), (1, 0))
+        assert model_V_mld_below(2, (1, 0), 2) == (Fraction(1), (0, -1))
+        assert model_V_mld_below(2, (1, 0), 1) is None
+
+    def test_no_slice_below_builds_no_cone(self, monkeypatch):
+        def unused(vec, horizontal):
+            raise AssertionError("a slice was visited")
+
+        monkeypatch.setattr(models, "_v_cones", unused)
+        assert model_V_mld_below(3, (8, 1, -1), Fraction(1, 54)) is None
+        assert model_V_mld_below(3, (54, 1, -1), Fraction(1, 54)) is None
+        assert model_V_mld_below(2, (7, 3), 0) is None
+
+    def test_float_threshold_rejected(self):
+        with pytest.raises(TypeError, match="floating point"):
+            model_V_mld_below(2, (5, 1), 0.5)
 
 
 class TestModelY:

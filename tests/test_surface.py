@@ -6,6 +6,7 @@ import pytest
 from toricfib import surface
 from toricfib.divisors import ToricDivisor, character_divisor, ray_divisor
 from toricfib.exactmath import InvariantViolation
+from toricfib.models import model_V
 from toricfib.surface import SurfaceModel, example_models, example_verify, intersect
 from oracles import surface_intersection
 
@@ -87,11 +88,17 @@ def test_example_models():
         example_models(0)
 
 
+def test_chain_v_is_the_V_model():
+    # example_verify extracts from chain.v in place of building model_V again
+    for n in range(2, 61):
+        assert example_models(n).v.fan == model_V(2, (n, 1)).fan
+
+
 def test_example_verify_rejects_a_disagreeing_model_Y(monkeypatch):
     # model_Y extracting (1, 0) from the V model of (n + 1, 1): not the chain's Y
     model_Y = surface.model_Y
     monkeypatch.setattr(
-        surface, "model_Y", lambda v, l, r, eps: model_Y(surface.model_V(2, (7, 1)), l, r, eps)
+        surface, "model_Y", lambda v, l, r, eps: model_Y(model_V(2, (7, 1)), l, r, eps)
     )
     with pytest.raises(InvariantViolation, match="disagrees"):
         example_verify(6, 1, Fraction(1, 2))
