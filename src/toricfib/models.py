@@ -31,7 +31,6 @@ from .exactmath import (
     Rat,
     RationalVector,
     ensure_rational,
-    is_primitive,
     lattice_vector,
 )
 from .divisors import (
@@ -129,7 +128,7 @@ def _v_vector(d: int, vec: Sequence[int], name: str) -> LatticeVector:
         raise ValueError("models need ambient dimension >= 2")
     if len(vec) != d:
         raise ValueError("vector dimension does not match d")
-    if not is_primitive(vec):
+    if math.gcd(*vec) != 1:
         raise ValueError(f"{name} must be primitive")
     if vec[0] <= 0:
         raise ValueError(f"{name} must have positive first coordinate")
@@ -147,10 +146,11 @@ def _vertical_pair(
     return nvec, lvec
 
 
-def horizontal_rays(d: int) -> list[LatticeVector]:
+@lru_cache(maxsize=16)
+def horizontal_rays(d: int) -> tuple[LatticeVector, ...]:
     """e_2, ..., e_d and c = -(e_2 + ... + e_d): the rays of the smooth fan
     of P^{d-1} in the hyperplane x_1 = 0."""
-    return [tuple(int(i == j) for i in range(d)) for j in range(1, d)] + [(0,) + (-1,) * (d - 1)]
+    return tuple(tuple(int(i == j) for i in range(d)) for j in range(1, d)) + ((0,) + (-1,) * (d - 1),)
 
 
 @lru_cache(maxsize=16)
@@ -167,8 +167,8 @@ def model_V(d: int, n: Sequence[int]) -> FibrationModel:
 
 
 def _v_cones(
-    vec: LatticeVector, horizontal: list[LatticeVector]
-) -> list[tuple[list[LatticeVector], tuple[int, ...]]]:
+    vec: LatticeVector, horizontal: tuple[LatticeVector, ...]
+) -> list[tuple[tuple[LatticeVector, ...], tuple[int, ...]]]:
     """For each maximal cone <n, H minus h_j> of the V model, its horizontal
     rays and the integer coordinates b of n' = n[1:] in them: b = n' when c
     is dropped; b_i = n'_i - n'_j and b_c = -n'_j when e_j is dropped."""
@@ -267,7 +267,7 @@ def _v_box_minimum(
     horizontal = horizontal_rays(d)
     best: tuple[int, LatticeVector] = (cap, ())
     if n1 < cap:
-        best = min((n1, ray) for ray in [vec] + horizontal)
+        best = min((n1, ray) for ray in (vec,) + horizontal)
     # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
     cones = [
         ([(ni, hs) for ni, *hs in zip(vec, *rays)], b)

@@ -283,6 +283,22 @@ class TestSingularStratum:
         assert calls == [l, n]
         assert w is model_V(d, l)
 
+    def test_models_need_no_pair_of_cones(self, monkeypatch):
+        # every fan V, Y, W and U is accepted wall by wall; the fans are
+        # built again, as model_V may hand back a cached one
+        d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
+
+        def refuse(c1, c2):
+            raise AssertionError(f"the pairwise loop ran on {c1.rays} and {c2.rays}")
+
+        monkeypatch.setattr(fan, "_meet_in_common_face", refuse)
+        for n, l in SINGULAR_SLICE:
+            w, u = model_W_U(d, l, n)
+            y = model_Y(model_V(d, n), l, r, eps)
+            for model in (model_V(d, n), y.model, w, u):
+                rebuilt = fan.Fan(d, model.fan.maximal_cones)
+                assert rebuilt == model.fan
+
 
 class TestExplicitBounds:
     def test_chain_family_below_threshold(self):

@@ -1,18 +1,23 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfib import cli, serialize
-from toricfib.exactmath import primitive, solve_in_basis
+from toricfib import cli, fan, serialize
+from toricfib.exactmath import InvariantViolation, primitive, solve_in_basis
 from toricfib.fan import (
     Cone,
     Fan,
+    _cross,
     _meet_by_enumeration,
+    _meet_in_common_face,
     _separated,
+    _walls_cover_once,
     multiplicity,
     smallest_containing_cone,
     standard_fibration_fan,
@@ -60,6 +65,21 @@ class TestCone:
     def test_requires_primitive_rays(self):
         with pytest.raises(ValueError, match="primitive"):
             Cone(((2, 4),))
+
+    @pytest.mark.parametrize(
+        "rays,error,message",
+        [
+            (((1, 0), (1.0, 2)), TypeError, "lattice vector entries must be ints, got 1.0"),
+            (((2, 4), (1, 2, 3)), ValueError, "ray (2, 4) is not primitive"),
+            (((1, 0), (1, 2, 3)), ValueError, "ray dimension mismatch"),
+            (((1, 0), (0, 0)), ValueError, "ray (0, 0) is not primitive"),
+            (((1, -3), (1, -3)), ValueError, "duplicate rays"),
+        ],
+    )
+    def test_messages_in_order(self, rays, error, message):
+        with pytest.raises(error) as raised:
+            Cone(rays)
+        assert str(raised.value) == message
 
     def test_requires_independent_rays(self):
         with pytest.raises(ValueError, match="independent"):
@@ -234,6 +254,187 @@ class TestFanValidation:
     def test_enumeration_agrees_with_linear_program(self, seed):
         c1, c2, shared = random_cone_pair(seed)
         assert _meet_by_enumeration(c1, c2, shared) == lp_meet_in_common_face(c1, c2)
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
+
+# walks that wind twice around the origin: every ray lies in two cones, on
+# opposite sides of it, and every point but the origin in exactly two
+# cones.  In the second, the rays of each turn bisect the cones of the
+# other, so the sum of the rays of its first cone, <(-1, -1), (-1, 1)>,
+# lies on the boundary of the two cones that cover it again.
+WINDING_TWICE = [
+    [(1, 0), (-1, 2), (-1, -1), (1, -2), (2, 1), (-1, 1), (-2, -1), (1, -1)],
+    [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)],
+]
+
+
+def walk(rays: list[tuple[int, int]]) -> list[Cone]:
+    """The plane cones spanned by consecutive rays of a walk."""
+    return [Cone((u, v)) for u, v in zip(rays, rays[1:])]
+
+
+def winding_cones(rays: list[tuple[int, int]], lift: bool) -> list[Cone]:
+    """The closed walk of ``rays``, in dimension 2, or lifted to dimension
+    3 by putting every ray in x_1 = 0 and adding e_1 to every cone."""
+    plane = walk(rays + rays[:1])
+    if not lift:
+        return plane
+    return [Cone(((1, 0, 0),) + tuple((0,) + ray for ray in c.rays)) for c in plane]
+
+
+def complete_fan(d: int) -> Fan:
+    """The complete fan of P^d: every d-subset of e_1, ..., e_d and
+    -(e_1 + ... + e_d)."""
+    rays = [tuple(int(i == j) for i in range(d)) for j in range(d)] + [(-1,) * d]
+    return Fan(d, tuple(Cone(subset) for subset in combinations(rays, d)))
+
+
+def t_junction() -> list[Cone]:
+    """The fan of V over the line with one cone split at e_1 + e_2, a point
+    of the wall it shares with a cone that is not split."""
+    base = standard_fibration_fan(3)
+    split, = [c for c in base.maximal_cones if set(c.rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}]
+    halves = star_subdivide(Fan(3, (split,)), (1, 1, 0)).maximal_cones
+    return [c for c in base.maximal_cones if c != split] + list(halves)
+
+
+def random_star_subdivision(seed: int, steps: int, dims=(2, 3, 4)) -> Fan:
+    """The fan of V over the line in a dimension drawn from ``dims``, star
+    subdivided at up to ``steps`` drawn primitive vectors with x_1 >= 0."""
+    rng = random.Random(seed)
+    d = rng.choice(dims)
+    result = standard_fibration_fan(d)
+    for _ in range(steps):
+        v = (rng.randint(0, 3),) + tuple(rng.randint(-3, 3) for _ in range(d - 1))
+        if any(v) and primitive(v) == v and v not in result.ray_set:
+            result = star_subdivide(result, v)
+    return result
+
+
+def assert_verdicts(cones: list[Cone], walls: bool | None) -> None:
+    """The wall check returns ``walls`` on the cones in the order a ``Fan``
+    holds them, and the pairwise loop and the linear program agree with it
+    whichever cone comes first: when no cone pair is bad the check never
+    rejects and the program confirms every pair; when one is, the check
+    never accepts and the program confirms the first bad pair."""
+    cones = sorted(cones, key=lambda c: c.rays)
+    d = cones[0].ambient_dim
+    assert _walls_cover_once(cones, d) is walls
+    verdicts = {_walls_cover_once(cones[i:] + cones[:i], d) for i in range(len(cones))}
+    pairs = list(combinations(cones, 2))
+    bad = next(((c1, c2) for c1, c2 in pairs if not _meet_in_common_face(c1, c2)), None)
+    if bad is None:
+        assert False not in verdicts
+        assert all(lp_meet_in_common_face(c1, c2) for c1, c2 in pairs)
+    else:
+        assert True not in verdicts
+        assert not lp_meet_in_common_face(*bad)
+
+
+def refuse_pairs(c1, c2):
+    raise AssertionError(f"the pairwise loop ran on {c1.rays} and {c2.rays}")
+
+
+class TestWallCheck:
+    """The wall check against the pairwise loop and the linear program."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_star_subdivisions_take_the_wall_path(self, seed):
+        built = random_star_subdivision(seed, 4)
+        cones = built.maximal_cones
+        assert _walls_cover_once(cones, built.ambient_dim) is True
+        assert all(_meet_in_common_face(c1, c2) for c1, c2 in combinations(cones, 2))
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=3, deadline=None)
+    def test_linear_program_agrees_on_random_star_subdivisions(self, seed):
+        # the program takes about 0.15 s a pair, so d = 4 draws are left to
+        # the pairwise loop above
+        assert_verdicts(list(random_star_subdivision(seed, 1, (2, 3)).maximal_cones), True)
+
+    def test_complete_fans_and_their_subdivisions(self):
+        plane = complete_fan(2)
+        assert_verdicts(list(plane.maximal_cones), True)
+        assert_verdicts(list(star_subdivide(star_subdivide(plane, (1, 1)), (-1, 2)).maximal_cones), True)
+        assert_verdicts(list(complete_fan(3).maximal_cones), True)
+        # complete: every wall lies in two cones
+        fine = star_subdivide(star_subdivide(complete_fan(3), (-1, 2, 0)), (1, 1, 1))
+        walls = [c.rays[:i] + c.rays[i + 1 :] for c in fine.maximal_cones for i in range(3)]
+        assert all(walls.count(w) == 2 for w in walls)
+        assert _walls_cover_once(fine.maximal_cones, 3) is True
+
+    @pytest.mark.parametrize("rays", WINDING_TWICE)
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_a_fan_that_winds_twice_fails_only_the_degree(self, rays, lift):
+        cones = winding_cones(rays, lift)
+        d = cones[0].ambient_dim
+        sides = {}
+        for cone in cones:
+            for i, dropped in enumerate(cone.rays):
+                wall = cone.rays[:i] + cone.rays[i + 1 :]
+                sides.setdefault(wall, []).append(sum(a * b for a, b in zip(_cross(wall, d), dropped)) > 0)
+        # (a) holds, and every unmatched wall lies in x_1 = 0
+        assert all(len(s) == 1 or (len(s) == 2 and s[0] != s[1]) for s in sides.values())
+        assert all(w[0][0] == w[1][0] == 0 for w, s in sides.items() if len(s) == 1)
+        assert len(sides) == (8 if not lift else 16)
+        assert_verdicts(cones, False)
+        with pytest.raises(ValueError, match="common face"):
+            Fan(d, tuple(cones))
+
+    def test_a_fold_fails_only_the_matched_walls(self):
+        # the walk turns back at (-6, 1) and at (-1, 6), so each of those
+        # rays has both its cones on one side, and the angles between them
+        # are covered three times and all others once
+        cones = walk([(1, 0), (0, 1), (-6, 1), (-1, 6), (-3, -1), (1, -3), (1, 0)])
+        assert_verdicts(cones, False)
+        # in walk order the first cone, <(1, 0), (0, 1)>, lies in the part
+        # covered once, so (c) holds and only (a) rejects
+        assert _walls_cover_once(cones, 2) is False
+
+    def test_a_spiral_fails_only_the_boundary(self):
+        # one and a half turns from (0, 1) to (0, -1): both unmatched walls
+        # have the inward normal e_1, but two rays have x_1 < 0.  The first
+        # cone of the fan covers x_1 < 0 once, so (a) and (c) hold
+        cones = walk([(0, 1), (1, 1), (1, -1), (-1, -1), (-1, 1), (1, 2), (1, -2), (0, -1)])
+        assert_verdicts(cones, None)
+        with pytest.raises(ValueError, match="common face"):
+            Fan(2, tuple(cones))
+
+    def test_t_junction_falls_back_and_is_rejected(self):
+        cones = t_junction()
+        assert_verdicts(cones, None)
+        with pytest.raises(ValueError, match="common face"):
+            Fan(3, tuple(cones))
+
+    def test_overlap_among_many_cones(self):
+        assert_verdicts(half_plane_chain(64) + [OVERLAPPING], False)
+
+    def test_single_cone_falls_back_and_is_accepted(self):
+        cone = Cone(((1, 2, 0), (0, 1, 0), (3, 0, 1)))
+        assert_verdicts([cone], None)
+        assert Fan(3, (cone,)).maximal_cones == (cone,)
+
+    def test_pool_fans_need_no_pair(self, monkeypatch):
+        monkeypatch.setattr(fan, "_meet_in_common_face", refuse_pairs)
+        pool = json.loads(POOL.read_text())["fans"]
+        for entry in pool:
+            doc = {
+                "ambient_dim": len(entry["rays"][0]),
+                "maximal_cones": [[entry["rays"][i] for i in cone] for cone in entry["cones"]],
+            }
+            assert len(serialize.fan_from_dict(doc).maximal_cones) == len(entry["cones"])
+        assert len(pool) == 300
+
+    @pytest.mark.parametrize("lift", [False, True])
+    def test_a_pairwise_loop_that_accepts_an_overlap_is_an_invariant_violation(self, monkeypatch, lift):
+        monkeypatch.setattr(fan, "_meet_in_common_face", lambda c1, c2: True)
+        cones = winding_cones(WINDING_TWICE[0], lift)
+        with pytest.raises(InvariantViolation, match="no pair"):
+            Fan(cones[0].ambient_dim, tuple(cones))
+        with pytest.raises(InvariantViolation, match="no pair"):
+            Fan(2, tuple(half_plane_chain(64)) + (OVERLAPPING,))
 
 
 class TestSmallestContainingCone:

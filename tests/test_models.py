@@ -15,6 +15,7 @@ from toricfib.fan import multiplicity, standard_fibration_fan
 from toricfib.models import (
     DecompositionData,
     decompose,
+    horizontal_rays,
     log_canonical_class_split,
     model_V,
     model_V_mld,
@@ -58,10 +59,23 @@ class TestModelV:
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError, match="primitive"):
             model_V(2, (2, 4))
+        # the zero vector fails primitivity before its first coordinate
+        with pytest.raises(ValueError, match="^n must be primitive$"):
+            model_V(3, (0, 0, 0))
         with pytest.raises(ValueError, match="positive first"):
             model_V(2, (0, 1))
         with pytest.raises(ValueError, match="positive first"):
             model_V(2, (-1, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_horizontal_rays_are_built_once_per_dimension(d):
+    first = horizontal_rays(d)
+    assert horizontal_rays(d) is first
+    # e_2, ..., e_d, then c = -(e_2 + ... + e_d)
+    expected = [tuple(int(i == j) for i in range(d)) for j in range(1, d)] + [(0,) + (-1,) * (d - 1)]
+    assert list(first) == expected
+    assert isinstance(first, tuple)
 
 
 def general_mld(d, n):
