@@ -8,8 +8,8 @@ Giving --in together with any of --d, --r, --eps, --n or --l is invalid
 input, and so is giving mld's --fan together with --fan-of-v, --d or --n.
 Vectors are comma-separated integers in the --n and --l flags and integer
 arrays in JSON files (--in instances, --fan rays).  scan --jobs N starts
-at most min(N, usable CPUs, instances) worker processes, and runs in this
-process when that is 1.
+at most min(N, usable CPUs, values of n_1) worker processes, and runs in
+this process when that is 1.
 """
 
 from __future__ import annotations

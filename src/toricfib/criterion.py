@@ -9,9 +9,14 @@ with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
 the threshold eps' = eps/(3 d r) a set of explicit bounds guarantees the
 strict inequality, and ``scan`` sweeps whole families checking exactly
-that.  It classifies each n by ``models.model_V_mld_below`` at eps', which
-visits only the box-point slices k < eps' n_1 of the V model, so an n with
-n_1 <= 1/eps' costs no box point at all.
+that.  It classifies by ``models.model_V_mld_below`` at eps', which visits
+only the box-point slices k < eps' n_1 of the V model, and it sweeps by
+residue class: whether n is eps'-lc, and its mld when it is not, depend on
+n only through n_1 and n' mod n_1 (a lemma proved in ``scan``), so each
+class is classified once and weighted by its number of lifts in the box.
+Only the lifts of singular classes are classified and certified one by
+one, and each must agree with its class.  No class with n_1 <= 1/eps' is
+classified at all.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -26,7 +31,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .exactmath import (
     InvariantViolation,
@@ -215,12 +220,9 @@ class ScanSummary:
         return not self.failures
 
 
-def primitive_family(d: int, bound: int) -> Iterator[LatticeVector]:
-    """All primitive n with 0 < n_1 <= bound and |n_i| <= bound, in
-    lexicographic order."""
-    for n in itertools.product(range(1, bound + 1), *[range(-bound, bound + 1)] * (d - 1)):
-        if math.gcd(*n) == 1:
-            yield n
+def _lift_range(rho: int, n1: int, bound: int) -> range:
+    """The x in [-bound, bound] with x = rho mod n1, in increasing order."""
+    return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
 def _scan_instance(
@@ -238,36 +240,114 @@ def _scan_instance(
     return n, False, certify(d, r, eps, n, minimizer)
 
 
+def _scan_n1(
+    args: tuple[int, int, Rat, Rat, int, int],
+) -> tuple[int, int, list[CertificateReport]]:
+    """The count and the eps_prime-lc count of the primitive n of the box
+    with first coordinate n1, and the reports of its singular ones in
+    lexicographic order, swept by residue class as ``scan`` describes."""
+    d, r, eps, eps_p, bound, n1 = args
+    lifts = [_lift_range(rho, n1, bound) for rho in range(n1)]
+    counts = [len(xs) for xs in lifts]
+    # when ceil(eps_prime n1) <= 1, model_V_mld_below is None for every class
+    classify = eps_p.numerator * n1 > eps_p.denominator
+    total = lc = 0
+    singular: list[tuple[LatticeVector, Rat]] = []
+    for rho in itertools.product(range(n1), repeat=d - 1):
+        if math.gcd(n1, *rho) != 1:
+            continue
+        weight = math.prod(counts[x] for x in rho)
+        total += weight
+        below = model_V_mld_below(d, (n1,) + rho, eps_p) if classify else None
+        if below is None:
+            lc += weight
+        else:
+            lifted = itertools.product((n1,), *(lifts[x] for x in rho))
+            singular.extend((n, below[0]) for n in lifted)
+    singular.sort()
+    reports = []
+    for n, value in singular:
+        _, is_lc, report = _scan_instance((d, r, eps, eps_p, n))
+        if is_lc:
+            raise InvariantViolation("a lift of a singular class classifies as eps_prime-lc")
+        if report.a != value:
+            raise InvariantViolation("a lift and its class have different mld values")
+        reports.append(report)
+    return total, lc, reports
+
+
 def scan(
     d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
 ) -> ScanSummary:
-    """Classify every primitive n in the family and certify the singular
-    ones, in deterministic instance order.  An n is eps_prime-lc when
-    ``model_V_mld_below(d, n, eps_prime)`` finds no value below eps_prime,
-    which visits only the slices k < eps_prime n_1; otherwise its minimizer
-    is l.  ``jobs`` caps the worker
-    processes (None: the usable CPUs); at most one per usable CPU and per
-    instance is started, since the pool forks all of them at once."""
+    """Classify every primitive n with 0 < n_1 <= bound and |n_i| <= bound
+    and certify the singular ones, with the failures in lexicographic
+    order.  An n is eps_prime-lc when ``model_V_mld_below(d, n, eps_prime)``
+    finds no value below eps_prime; otherwise its minimizer is l.
+
+    The sweep runs by residue class, one task per n_1.  Write n = (n_1, n')
+    and rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
+    coordinate n_1 and residue rho are the lifts n' = rho + n_1 t inside
+    the box; they number the product over i of
+    #{x in [-bound, bound] : x = rho_i mod n_1}, read off a ``range``.
+    The task counts the lifts of every class with gcd(n_1, rho) = 1 and
+    classifies its representative (n_1,) + rho once: an eps_prime-lc
+    class adds its whole weight to ``epsilon_lc``; the lifts of a singular
+    class are sorted with those of the other singular classes and each is
+    classified and certified on its own by ``_scan_instance``.  No class is
+    classified when ceil(eps_prime n_1) <= 1, where ``model_V_mld_below``
+    visits no slice.  Joining the tasks in n_1 order gives the failures in
+    lexicographic order.
+
+    Lemma: for every thr > 0, whether ``model_V_mld_below(d, n, thr)`` is
+    None, and its value when it is not, are the same for every lift
+    n = (n_1, rho + n_1 t) of a class.  Proof, with k, b, a_i and the box
+    points as in ``model_V_mld``:
+    1. gcd(n_1, n') = gcd(n_1, n' mod n_1), so the lifts of a class are
+       all primitive or all not.
+    2. The b of ``_v_cones`` is integer-linear in n', so b mod n_1, each
+       a_i = (-k b_i) mod n_1 and each numerator k + sum(a_i) depend only
+       on the class.
+    3. The box point p = (k n + sum(a_i h_i))/n_1 has p_1 = k, and a lift
+       moves it by k (0, t), which leaves gcd(p) unchanged: the primitive
+       box points of the lifts match slice by slice and cone by cone,
+       with the same numerators.
+    4. The d+1 rays have numerator n_1 for every lift.
+    The value is the least numerator below ceil(thr n_1) among these
+    candidates, over n_1, or None when there is none; it is the same for
+    every lift.  So no draw with thr > 1 breaks the lemma: the rays then
+    compete, but with the same numerator n_1 for every lift.  ``scan``
+    uses thr = eps_prime = eps/(3 d r) <= 1/6, where the rays never
+    compete.  The minimizer, a point, can depend on the lift, so every
+    lift of a singular class is still classified and certified.
+
+    Cross-checks kept at run time: a lift of a singular class that
+    classifies as eps_prime-lc, or whose report's a (the log discrepancy of
+    its minimizer, which ``certify`` computes apart) differs from its
+    class's value, raises ``InvariantViolation``; ``certify`` and
+    ``CertificateReport`` check every singular lift as before.
+
+    ``jobs`` caps the worker processes (None: the usable CPUs).  The pool
+    maps over the n_1 tasks and starts min(jobs, usable CPUs, bound)
+    workers, since it forks all of them at once; the sweep runs in this
+    process when that is 1."""
     eps = ensure_rational(eps)
     eps_p = epsilon_prime(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
-    instances = [(d, r, eps, eps_p, n) for n in primitive_family(d, bound)]
+    tasks = [(d, r, eps, eps_p, bound, n1) for n1 in range(1, bound + 1)]
     cpus = len(os.sched_getaffinity(0))
     if jobs is None:
         jobs = cpus
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    workers = min(jobs, cpus, len(instances))
-    if workers == 1 or len(instances) < 4:
-        results = [_scan_instance(item) for item in instances]
+    workers = min(jobs, cpus, len(tasks))
+    if workers == 1:
+        results = [_scan_n1(task) for task in tasks]
     else:
-        chunk = max(1, len(instances) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_instance, instances, chunksize=chunk))
+            results = list(pool.map(_scan_n1, tasks))
 
-    lc = sum(1 for _, is_lc, _ in results if is_lc)
-    reports = [rep for _, is_lc, rep in results if not is_lc]
+    reports = [rep for _, _, task_reports in results for rep in task_reports]
     fired = sum(1 for rep in reports if rep.fires)
     failures = tuple(rep for rep in reports if not rep.fires)
     return ScanSummary(
@@ -276,8 +356,8 @@ def scan(
         eps=eps,
         eps_prime=eps_p,
         bound=bound,
-        total=len(results),
-        epsilon_lc=lc,
+        total=sum(total for total, _, _ in results),
+        epsilon_lc=sum(lc for _, lc, _ in results),
         singular=len(reports),
         fired=fired,
         failures=failures,

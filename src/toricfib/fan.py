@@ -355,9 +355,6 @@ class Fan:
                 return cone, coeffs
         return None
 
-    def support_contains(self, v: Sequence[int | Fraction]) -> bool:
-        return self.containing_cone(v) is not None
-
 
 def standard_fibration_fan(d: int) -> Fan:
     """The fan of the projective-space bundle of rank d-1 over the line.

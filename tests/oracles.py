@@ -9,17 +9,27 @@ face-compatibility oracle solves a linear program over the rationals with
 sympy instead of enumerating facet hyperplanes.  The certificate oracle
 reads both decompositions off the smallest containing cones of the built
 V and W fans instead of the closed form, and glues them in Fractions.
+The scan oracle classifies and certifies every primitive n of the box one
+at a time instead of once per residue class.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+from typing import Iterator, Sequence
 
 from sympy import Eq, symbols
 from sympy.solvers.simplex import lpmax
 
-from toricfib.criterion import CertificateReport, ExplicitBounds
+from toricfib.criterion import (
+    CertificateReport,
+    ExplicitBounds,
+    ScanSummary,
+    _scan_instance,
+    epsilon_prime,
+)
 from toricfib.divisors import (
     Subdivision,
     ToricDivisor,
@@ -28,6 +38,7 @@ from toricfib.divisors import (
 )
 from toricfib.exactmath import (
     LatticeVector,
+    Rat,
     adjugate,
     det,
     is_primitive,
@@ -234,4 +245,40 @@ def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVecto
         d=d, r=r, eps=eps, eps_prime=eps_prime, n=n, l=l, a=a, gamma=gamma, u=u,
         lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
         fires=lhs > rhs, bounds=bounds,
+    )
+
+
+def support_contains(fan: Fan, v: Sequence[int | Fraction]) -> bool:
+    """Whether v lies in the support of ``fan``, by a search of its
+    maximal cones."""
+    return fan.containing_cone(v) is not None
+
+
+def primitive_family(d: int, bound: int) -> Iterator[LatticeVector]:
+    """All primitive n with 0 < n_1 <= bound and |n_i| <= bound, in
+    lexicographic order."""
+    for n in product(range(1, bound + 1), *[range(-bound, bound + 1)] * (d - 1)):
+        if math.gcd(*n) == 1:
+            yield n
+
+
+def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
+    """``criterion.scan`` one instance at a time: every n of
+    ``primitive_family`` classified and, when singular, certified by
+    ``_scan_instance``, in lexicographic order."""
+    eps = Fraction(eps)
+    eps_p = epsilon_prime(d, r, eps)
+    results = [_scan_instance((d, r, eps, eps_p, n)) for n in primitive_family(d, bound)]
+    reports = [rep for _, is_lc, rep in results if not is_lc]
+    return ScanSummary(
+        d=d,
+        r=r,
+        eps=eps,
+        eps_prime=eps_p,
+        bound=bound,
+        total=len(results),
+        epsilon_lc=len(results) - len(reports),
+        singular=len(reports),
+        fired=sum(1 for rep in reports if rep.fires),
+        failures=tuple(rep for rep in reports if not rep.fires),
     )

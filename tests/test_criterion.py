@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import json
@@ -9,14 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fan_certify, fan_decomposition
+from oracles import box_scan, fan_certify, fan_decomposition, primitive_family
 
 from toricfib import criterion, divisors, fan, serialize
 from toricfib.criterion import (
+    _lift_range,
     _scan_instance,
     certify,
     epsilon_prime,
-    primitive_family,
     scan,
     verify_explicit_bounds,
 )
@@ -26,6 +27,7 @@ from toricfib.models import (
     log_canonical_class_split,
     model_V,
     model_V_mld,
+    model_V_mld_below,
     model_W_U,
     model_Y,
     verify_extraction_identities,
@@ -457,9 +459,9 @@ class TestScanWorkers:
         [
             (3, 64, 26, [3]),  # capped by the usable CPUs
             (64, 5, 26, [5]),  # by --jobs
-            (64, 1000, 2, [7]),  # by the 7 instances
+            (64, 1000, 2, [2]),  # by the 2 values of n_1
             (1, 8, 26, []),  # one worker runs in this process
-            (64, 3, 1, []),  # under 4 instances as well
+            (64, 3, 1, []),  # one value of n_1 as well
         ],
     )
     def test_worker_count_is_bounded(self, monkeypatch, cpus, jobs, bound, started):
@@ -470,3 +472,102 @@ class TestScanWorkers:
         assert _RecordingPool.started == started
         assert summary == scan(2, 1, Fraction(1, 2), bound, jobs=1)
         assert _RecordingPool.started == started
+
+
+# (d, r, eps, bound): (2, 1, 1/2) at every bound to 40 and at 70, and one
+# family each for d = 2..4; (3, 1, 1, 24) has 151 singular instances
+ORACLE_FAMILIES = (
+    [(2, 1, Fraction(1, 2), bound) for bound in range(1, 41)]
+    + [
+        (2, 1, Fraction(1, 2), 70),
+        (2, 2, Fraction(1, 3), 60),
+        (3, 2, Fraction(1, 3), 8),
+        (3, 1, Fraction(1), 24),
+        (4, 1, Fraction(1), 6),
+    ]
+)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_box_scan(d, r, eps, bound):
+    return box_scan(d, r, eps, bound)
+
+
+class TestScanByResidueClass:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("d,r,eps,bound", ORACLE_FAMILIES)
+    def test_equals_the_box_scan(self, d, r, eps, bound, jobs):
+        assert scan(d, r, eps, bound, jobs=jobs) == cached_box_scan(d, r, eps, bound)
+
+    def test_failures_in_lexicographic_order(self, monkeypatch):
+        # certifying at eps = 1/1000 makes every singular instance a failure;
+        # the lifts of the classes of one n_1 interleave
+        real = criterion.certify
+        monkeypatch.setattr(
+            criterion, "certify", lambda d, r, eps, n, l: real(d, r, Fraction(1, 1000), n, l)
+        )
+        summary = scan(2, 1, Fraction(1, 2), 40, jobs=1)
+        assert len(summary.failures) == summary.singular > 0
+        assert summary == box_scan(2, 1, Fraction(1, 2), 40)
+
+    def test_oracle_families_reach_the_singular_stratum(self):
+        summary = cached_box_scan(3, 1, Fraction(1), 24)
+        assert (summary.singular, summary.fired) == (151, 151)
+
+    @pytest.mark.parametrize("bound", [1, 2, 7, 40])
+    def test_lift_range_is_the_filtered_box(self, bound):
+        box = range(-bound, bound + 1)
+        for n1 in sorted({1, (bound + 1) // 2, bound}):
+            for rho in range(n1):
+                assert list(_lift_range(rho, n1, bound)) == [x for x in box if x % n1 == rho]
+
+    @staticmethod
+    def _lift_pair(seed, thr_range):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n = random_vertical(rng, d, 300)
+        t = [rng.randint(-4, 4) for _ in range(d - 1)]
+        lift = (n[0],) + tuple(x + n[0] * ti for x, ti in zip(n[1:], t))
+        q = rng.randint(1, 2 * n[0])
+        thr = Fraction(rng.randint(*thr_range(q)), q)
+        return d, n, lift, thr
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_lemma_lifts_share_the_class_verdict(self, seed):
+        # thr in (0, 1], where the rays never compete
+        d, n, lift, thr = self._lift_pair(seed, lambda q: (1, q))
+        below, lifted = model_V_mld_below(d, n, thr), model_V_mld_below(d, lift, thr)
+        assert (below is None) == (lifted is None)
+        assert below is None or below[0] == lifted[0]
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_lemma_holds_above_one(self, seed):
+        # thr in (1, 3]: the rays compete, with numerator n_1 on every lift
+        d, n, lift, thr = self._lift_pair(seed, lambda q: (q + 1, 3 * q))
+        assert model_V_mld_below(d, n, thr)[0] == model_V_mld_below(d, lift, thr)[0]
+
+    def test_a_lift_classified_lc_in_a_singular_class_raises(self, monkeypatch):
+        # the representative, with n' in [0, n_1), keeps its value; other lifts are lc
+        real = criterion.model_V_mld_below
+
+        def fake(d, n, thr):
+            return real(d, n, thr) if all(0 <= x < n[0] for x in n[1:]) else None
+
+        monkeypatch.setattr(criterion, "model_V_mld_below", fake)
+        with pytest.raises(InvariantViolation, match="eps_prime-lc"):
+            scan(2, 1, Fraction(1, 2), 26, jobs=1)
+
+    def test_a_class_value_its_lifts_do_not_share_raises(self, monkeypatch):
+        real = criterion.model_V_mld_below
+
+        def fake(d, n, thr):
+            below = real(d, n, thr)
+            if below is None or not all(0 <= x < n[0] for x in n[1:]):
+                return below
+            return below[0] + Fraction(1, n[0]), below[1]
+
+        monkeypatch.setattr(criterion, "model_V_mld_below", fake)
+        with pytest.raises(InvariantViolation, match="different mld values"):
+            scan(2, 1, Fraction(1, 2), 26, jobs=1)

@@ -23,7 +23,7 @@ from toricfib.fan import (
     standard_fibration_fan,
     star_subdivide,
 )
-from oracles import lp_meet_in_common_face
+from oracles import lp_meet_in_common_face, support_contains
 
 
 def half_plane_chain(cones: int) -> list[Cone]:
@@ -161,9 +161,9 @@ class TestStandardFibrationFan:
         for _ in range(150):
             point = tuple(rng.randint(-8, 8) for _ in range(d))
             if point[0] >= 0:
-                assert fan.support_contains(point), point
+                assert support_contains(fan, point), point
             else:
-                assert not fan.support_contains(point), point
+                assert not support_contains(fan, point), point
 
 
 class TestFanValidation:
@@ -512,7 +512,7 @@ class TestStarSubdivide:
             point = tuple(
                 Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(d)
             )
-            assert fan.support_contains(point) == fine.support_contains(point)
+            assert support_contains(fan, point) == support_contains(fine, point)
 
 
 def test_subdivision_preserves_ray_primitivity_and_simpliciality():
