@@ -1,6 +1,6 @@
 """Exact toolkit for toric fibrations over the affine line: fans and
-models, log discrepancies and fiber multiplicities, the negativity
-certificate and surface intersection numbers."""
+models, log discrepancies and the mld, the negativity certificate and
+surface intersection numbers."""
 
 from .exactmath import (
     InvariantViolation,
@@ -18,10 +18,7 @@ from .divisors import (
     ToricDivisor,
     canonical_divisor,
     character_divisor,
-    fiber_divisor,
-    fiber_multiplicity,
     horizontal_sum,
-    is_epsilon_lc,
     log_discrepancy,
     pullback,
     ray_divisor,
@@ -46,7 +43,6 @@ from .criterion import (
     certify,
     epsilon_prime,
     scan,
-    verify_explicit_bounds,
 )
 from .surface import ChainModels, ChainReport, SurfaceModel, example_models, example_verify, intersect
 

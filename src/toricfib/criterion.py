@@ -179,22 +179,6 @@ def certify(
     )
 
 
-def verify_explicit_bounds(report: CertificateReport) -> bool:
-    """Check the explicit bounds of a report with a below the threshold.
-
-    Only claimed for a < eps_prime; when they all hold the certificate must
-    have fired, and a report violating that is a bug worth crashing on.
-    """
-    if report.a >= report.eps_prime:
-        raise ValueError("explicit bounds are only claimed below eps_prime")
-    bounds = report.bounds
-    if bounds is None:
-        raise InvariantViolation("report below the threshold carries no bounds")
-    if bounds.all_hold and not report.fires:
-        raise InvariantViolation("explicit bounds hold but the certificate did not fire")
-    return bounds.all_hold
-
-
 @dataclass(frozen=True)
 class ScanSummary:
     """Outcome of sweeping all primitive n with 0 < n_1 <= bound and

@@ -1,6 +1,6 @@
 """Toric divisors on fibration fans: support functions, log discrepancies,
-minimal log discrepancy search, fiber multiplicities, pullbacks along star
-subdivisions, and relative linear equivalence over the affine base.
+minimal log discrepancy search, pullbacks along star subdivisions, and
+relative linear equivalence over the affine base.
 
 Sign convention, fixed once: the support function of a divisor D takes the
 value -coeff_D(u) at every ray u, and the divisor of the character with
@@ -12,6 +12,7 @@ witness returned here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -26,7 +27,6 @@ from .exactmath import (
     ensure_rational,
     is_primitive,
     lattice_vector,
-    parallelepiped_points,
     rational_vector,
     solve_in_basis,
 )
@@ -124,11 +124,6 @@ def horizontal_sum(fan: Fan) -> ToricDivisor:
     return ToricDivisor.make(fan, {r: Fraction(1) for r in fan.rays if r[0] == 0})
 
 
-def fiber_divisor(fan: Fan) -> ToricDivisor:
-    """Pullback of the origin of the base: coefficient u_1 at every ray u."""
-    return ToricDivisor.make(fan, {r: Fraction(r[0]) for r in fan.rays})
-
-
 def character_divisor(fan: Fan, exponent: Sequence[int | Rat]) -> ToricDivisor:
     """The divisor of the character with the given exponent vector:
     coefficient <m, u> at every ray u."""
@@ -210,38 +205,27 @@ def toric_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Rat, LatticeVector]:
     under adding a ray generator, so box points dominate everything else.
     Non-primitive box points are skipped because their primitive
     representatives are box points of the same cone with smaller value.
+
+    The box points come from ``Cone.box_points``, which reads them off the
+    inverse (adj, det) the cone built at construction.  With D = |det| and s
+    its sign, p -> s adj p mod D is injective on Z^d modulo the lattice the
+    rays span (adj p / det is integral exactly on that lattice), so the
+    numerators D c of the box points' coefficients c are exactly the
+    subgroup of (Z/D)^d generated by the columns of s adj (or of adj, the
+    same subgroup), of order D; it is enumerated by closure, with no Smith
+    normal form.  The weight 1 - b of each ray is taken once per fan.
     """
     _check_boundary(fan, boundary)
-    candidates: list[tuple[Rat, LatticeVector]] = []
-    for ray in fan.rays:
-        candidates.append((1 - boundary.coefficient(ray), ray))
+    weights = {ray: 1 - boundary.coefficient(ray) for ray in fan.rays}
+    candidates: list[tuple[Rat, LatticeVector]] = [(w, ray) for ray, w in weights.items()]
     for cone in fan.maximal_cones:
-        weights = [1 - boundary.coefficient(r) for r in cone.rays]
-        for point, coeffs in parallelepiped_points(cone.rays):
-            if all(x == 0 for x in point) or not is_primitive(point):
+        cone_weights = [weights[r] for r in cone.rays]
+        for point, coeffs in cone.box_points():
+            if math.gcd(*point) != 1:  # the origin, or not primitive
                 continue
-            value = sum((c * w for c, w in zip(coeffs, weights)), Fraction(0))
+            value = sum((c * w for c, w in zip(coeffs, cone_weights)), Fraction(0))
             candidates.append((value, point))
     return min(candidates)
-
-
-def is_epsilon_lc(fan: Fan, boundary: ToricDivisor, eps: int | Rat) -> bool:
-    eps = ensure_rational(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    value, _ = toric_mld(fan, boundary)
-    return value >= eps
-
-
-def fiber_multiplicity(fan: Fan, t: Sequence[int]) -> int:
-    """Multiplicity of the prime divisor of the ray t in the fiber over the
-    origin of the base: the first coordinate of t."""
-    vec = lattice_vector(t)
-    if vec not in fan.ray_set:
-        raise ValueError(f"{vec} is not a ray of the fan")
-    if vec[0] <= 0:
-        raise ValueError("not a fiber component")
-    return vec[0]
 
 
 @dataclass(frozen=True)

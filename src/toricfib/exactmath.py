@@ -176,22 +176,44 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def adjugate(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer adjugate: adj(A) @ A = det(A) * I."""
-    a = [[int(e) for e in row] for row in matrix]
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return adj
+def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
+    """The integer inverse (adj(A), det(A)) of a square integer matrix A,
+    with adj(A) A = det(A) I, or None when A is singular.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination of [A | I] clears
+    each pivot column above and below the pivot.  Each update divides by
+    the previous pivot exactly, as every entry is then a minor of [A | I]
+    (Bareiss, *Math. Comp.* 22, 1968), and every diagonal entry of the left
+    block equals the latest pivot.  The row operations amount to a matrix M
+    with M [A | I] = [D I | M], so M = D A^-1, where D, the last pivot, is
+    the determinant of A with its rows swapped as the pivots were chosen:
+    D = s det(A) for the sign s of that permutation.  Hence adj(A) = s M.
+    """
+    n = len(matrix)
+    rows = [list(row) + [0] * n for row in matrix]
+    if any(len(row) != 2 * n for row in rows):
+        raise ValueError("matrix is not square")
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    sign = 1
+    prev = 1
+    for k in range(n):
+        for pr in range(k, n):
+            if rows[pr][k]:
+                break
+        else:
+            return None
+        if pr != k:
+            rows[k], rows[pr] = rows[pr], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in rows], sign * prev
 
 
 def smith_normal_form(

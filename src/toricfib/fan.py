@@ -4,6 +4,12 @@ Cones are generated by primitive, linearly independent rays.  The fans
 built here all live in the half-space x_1 >= 0 and fiber over the affine
 line through the first coordinate.
 
+A full-dimensional cone builds the integer inverse (adj, det) of its ray
+matrix once, at construction, in one fraction-free elimination; det != 0
+is its independence check, and ``rank`` is used only below full
+dimension.  Coordinates, functionals, facet normals, the lattice points of
+the cone's box and the walls of the fan check are all read off it.
+
 Every ``Fan`` is validated in full when it is constructed, whether a
 caller or this package built it, whatever its number of cones: its
 maximal cones must be full dimensional, and every pair of them must meet
@@ -16,7 +22,8 @@ holds every ray, and one interior point lies in a single cone, the cones
 cover their support exactly once and so meet in common faces
 (``_walls_cover_once``: a pseudo-manifold that covers one point once is a
 triangulation; De Loera, Rambau, Santos, *Triangulations*, 2010, §4.5).
-That costs at most d cross products per cone.
+The normal of each wall and the side of each dropped ray are read off the
+rows of adj, so the check computes no determinant.
 
 A fan the walls cannot accept goes pair by pair, and the pairwise test is
 also the oracle of the wall check.  A pair is first tried against an
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,9 +49,9 @@ from .exactmath import (
     InvariantViolation,
     LatticeVector,
     RationalVector,
-    adjugate,
     det,
     ensure_rational,
+    inverse,
     is_primitive,
     lattice_vector,
     primitive,
@@ -59,10 +67,13 @@ class Cone:
     """A simplicial cone spanned by primitive, independent ray generators.
 
     Rays are stored sorted, so equality and hashing are order-free.  A
-    full-dimensional cone computes the integer inverse of its ray matrix
-    once, as (adjugate, determinant), and answers ``coefficients``,
-    ``functional``, ``contains`` and ``facet_normals`` from it; a
-    lower-dimensional cone solves in the span of its rays.
+    full-dimensional cone computes the integer inverse of its ray matrix at
+    construction, as (adjugate, determinant) from one elimination
+    (``exactmath.inverse``).  A nonzero determinant is its independence
+    check, and ``coefficients``, ``functional``, ``contains``,
+    ``facet_normals``, ``box_points`` and the wall check of ``Fan`` all
+    read that inverse.  A lower-dimensional cone checks its rays by
+    ``rank`` and solves in their span.
     """
 
     rays: tuple[LatticeVector, ...]
@@ -80,27 +91,33 @@ class Cone:
                 raise ValueError(f"ray {r} is not primitive")
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
-        if rank(rays) != len(rays):
+        rays = tuple(sorted(rays))
+        if len(rays) == dim:
+            inv = inverse(list(zip(*rays)))
+            independent = inv is not None
+        else:
+            inv = None
+            independent = rank(rays) == len(rays)
+        if not independent:
             raise ValueError("cone rays must be linearly independent")
-        object.__setattr__(self, "rays", tuple(sorted(rays)))
+        object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "ambient_dim", dim)
+        # (adj, det) of the matrix whose columns are the rays, None below
+        # full dimension: the coordinates of v on the rays are adj v / det
+        object.__setattr__(self, "_inverse", inv)
 
     @property
     def dim(self) -> int:
         return len(self.rays)
 
-    @cached_property
-    def _inverse(self) -> tuple[list[list[int]], int]:
-        """(adj, det) of the matrix whose columns are the rays: the
-        coordinates of v on the rays are adj v / det."""
-        if self.dim != self.ambient_dim:
+    def _full_inverse(self) -> tuple[list[list[int]], int]:
+        if self._inverse is None:
             raise ValueError("cone is not full dimensional")
-        matrix = [[ray[i] for ray in self.rays] for i in range(self.ambient_dim)]
-        return adjugate(matrix), det(matrix)
+        return self._inverse
 
     def coefficients(self, v: Sequence[int | Fraction]) -> RationalVector | None:
         """Coordinates of v on the rays, or None when v is outside their span."""
-        if self.dim != self.ambient_dim:
+        if self._inverse is None:
             return solve_in_basis(self.rays, rational_vector(v))
         vec = [x if isinstance(x, (int, Fraction)) else ensure_rational(x) for x in v]
         if len(vec) != self.ambient_dim:
@@ -112,7 +129,7 @@ class Cone:
         """The linear functional of a full-dimensional cone taking the i-th
         value at the i-th ray: the combination of the rows of the inverse
         ray matrix, adj / det, with the values as weights."""
-        adj, base = self._inverse
+        adj, base = self._full_inverse()
         return tuple(
             Fraction(sum(x * row[j] for x, row in zip(values, adj)), base)
             for j in range(self.ambient_dim)
@@ -128,9 +145,57 @@ class Cone:
         per ray: the i-th vanishes on every ray but the i-th and is positive
         there.  They are the rows of the inverse ray matrix, i.e. of the
         adjugate up to the sign of the determinant."""
-        adj, base = self._inverse
+        adj, base = self._full_inverse()
         sign = 1 if base > 0 else -1
         return tuple(primitive(tuple(sign * a for a in row)) for row in adj)
+
+    def box_points(self) -> list[tuple[LatticeVector, RationalVector]]:
+        """The lattice points of the half-open box of a full-dimensional
+        cone, each with its coefficients on the rays, sorted by point:
+        exactly ``exactmath.parallelepiped_points(self.rays)``, read off the
+        inverse instead of a Smith normal form.
+
+        Let A be the ray matrix, D = |det A| and s its sign.  The map
+        p -> s adj(A) p mod D from Z^d to (Z/D)^d has kernel A Z^d, since
+        s adj(A) p / D = A^-1 p is integral exactly for p in A Z^d.  So it
+        embeds Z^d / A Z^d, a group of order D, in (Z/D)^d, and its image is
+        the subgroup generated by the columns of s adj(A) mod D, which is
+        the one the columns of adj(A) generate, whatever s.  Each coset has
+        exactly one point in the box, A c with c = nums / D for its image
+        nums (entries in [0, D)), which is therefore integral.  The subgroup
+        is enumerated by closure under adding the generators; its order and
+        the integrality of every A nums / D are checked.
+        """
+        adj, base = self._full_inverse()
+        size = abs(base)
+        generators = {tuple(x % size for x in column) for column in zip(*adj)}
+        zero = (0,) * self.ambient_dim
+        group = {zero}
+        frontier = [zero]
+        while frontier:
+            reached = []
+            for g in frontier:
+                for h in generators:
+                    nums = tuple((x + y) % size for x, y in zip(g, h))
+                    if nums not in group:
+                        group.add(nums)
+                        reached.append(nums)
+            frontier = reached
+        if len(group) != size:
+            raise InvariantViolation("box numerators do not form a group of order |det|")
+        rows = list(zip(*self.rays))
+        fractions = [Fraction(n, size) for n in range(size)]
+        points = []
+        for nums in group:
+            point = []
+            for row in rows:
+                q, rem = divmod(sum(map(operator.mul, row, nums)), size)
+                if rem:
+                    raise InvariantViolation("box coset representative is not a lattice point")
+                point.append(q)
+            points.append((tuple(point), tuple(fractions[n] for n in nums)))
+        points.sort(key=lambda item: item[0])
+        return points
 
 
 def multiplicity(cone: Cone) -> int:
@@ -146,7 +211,8 @@ def _idot(u: Sequence[int], v: Sequence[int]) -> int:
 def _cross(rows: Sequence[LatticeVector], dim: int) -> list[int]:
     """The generalized cross product of dim-1 integer rows: the vector of
     signed maximal minors.  It is orthogonal to every row, its dot product
-    with a vector v is the determinant of the rows followed by v, and it is
+    with a vector v is the determinant of v followed by the rows, which is
+    (-1)^(dim-1) times the determinant of the rows followed by v, and it is
     zero exactly when the rows are dependent."""
     return [
         (-1) ** j * det([[row[c] for c in range(dim) if c != j] for row in rows])
@@ -163,7 +229,7 @@ def _kernel_direction(rows: list[LatticeVector], dim: int) -> LatticeVector | No
     return primitive(tuple(minors))
 
 
-def _walls_cover_once(cones: Sequence[Cone], d: int) -> bool | None:
+def _walls_cover_once(cones: Sequence[Cone]) -> bool | None:
     """Whether distinct full-dimensional simplicial cones in dimension
     d >= 2 pairwise meet in the faces spanned by their shared rays, decided
     from their walls: True accepts, False proves an overlap, and None
@@ -171,8 +237,12 @@ def _walls_cover_once(cones: Sequence[Cone], d: int) -> bool | None:
 
     A wall is the d-1 rays a cone keeps when it drops one ray; its normal h
     is their cross product, and the dropped ray lies on the side
-    sign(h . dropped), never 0 as the rays are independent.  The check
-    accepts when
+    sign(h . dropped), never 0 as the rays are independent.  Both are read
+    off the cone's inverse (adj, det): for the i-th ray dropped, expanding
+    det along column i gives h = (-1)^i adj[i], the same vector from every
+    cone on the wall as it depends on the wall alone.  So the side is the
+    sign of h . dropped = (-1)^i det, and the inward normal sign(det) adj[i]
+    is the cone's i-th facet normal.  The check accepts when
       (a) every wall lies in at most two cones, and two cones on one wall
           lie on opposite sides of it;
       (b) every wall in only one cone has the same primitive inward normal
@@ -206,29 +276,25 @@ def _walls_cover_once(cones: Sequence[Cone], d: int) -> bool | None:
     holds interior points of the first cone.  A failure of (b) alone
     proves nothing, as a single cone or a wedge is a valid fan.
     """
-    normals: dict[tuple[LatticeVector, ...], list[int]] = {}
-    sides: dict[tuple[LatticeVector, ...], list[int]] = {}
-    inward: list[list[tuple[list[int], int]]] = []
+    # each wall's cones, with the side of the ray each drops
+    walls: dict[tuple[LatticeVector, ...], list[tuple[int, Cone, int]]] = {}
     for cone in cones:
-        facets = []
-        for i, dropped in enumerate(cone.rays):
-            wall = cone.rays[:i] + cone.rays[i + 1 :]
-            h = normals.get(wall)
-            if h is None:
-                h = normals[wall] = _cross(wall, d)
-            side = 1 if _idot(h, dropped) > 0 else -1
-            sides.setdefault(wall, []).append(side)
-            facets.append((h, side))
-        inward.append(facets)
+        positive = cone._inverse[1] > 0
+        for i in range(cone.dim):
+            side = 1 if positive == (i % 2 == 0) else -1
+            walls.setdefault(cone.rays[:i] + cone.rays[i + 1 :], []).append((side, cone, i))
     boundary = set()
-    for wall, signs in sides.items():
-        if len(signs) == 1:
-            boundary.add(primitive(tuple(signs[0] * x for x in normals[wall])))
-        elif len(signs) > 2 or signs[0] == signs[1]:
+    for seen in walls.values():
+        if len(seen) == 1:
+            _, cone, i = seen[0]
+            boundary.add(cone.facet_normals[i])
+        elif len(seen) > 2 or seen[0][0] == seen[1][0]:
             return False
     p = [sum(column) for column in zip(*cones[0].rays)]
-    if any(all(side * _idot(h, p) >= 0 for h, side in facets) for facets in inward[1:]):
-        return False
+    for cone in cones[1:]:
+        adj, base = cone._inverse
+        if all(base * _idot(row, p) >= 0 for row in adj):
+            return False
     if len(boundary) > 1:
         return None
     if boundary:
@@ -327,7 +393,7 @@ class Fan:
                 if r1 <= r2 or r2 <= r1:
                     raise ValueError("a maximal cone contains another")
             raise ValueError(f"maximal cone {flat[0].rays} is not full dimensional")
-        walls = _walls_cover_once(cones, self.ambient_dim) if self.ambient_dim >= 2 else None
+        walls = _walls_cover_once(cones) if self.ambient_dim >= 2 else None
         if walls:
             return
         for c1, c2 in itertools.combinations(cones, 2):

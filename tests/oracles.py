@@ -10,7 +10,12 @@ sympy instead of enumerating facet hyperplanes.  The certificate oracle
 reads both decompositions off the smallest containing cones of the built
 V and W fans instead of the closed form, and glues them in Fractions.
 The scan oracle classifies and certifies every primitive n of the box one
-at a time instead of once per residue class.
+at a time instead of once per residue class.  The cofactor adjugate takes
+n^2 determinants where ``exactmath.inverse`` runs one elimination.
+
+The fiber divisor and multiplicity, the eps-lc predicate and the check of
+a report's explicit bounds feed no result of the package and live here,
+where the tests still read them.
 """
 
 from __future__ import annotations
@@ -33,15 +38,17 @@ from toricfib.criterion import (
 from toricfib.divisors import (
     Subdivision,
     ToricDivisor,
-    fiber_divisor,
     pullback,
+    toric_mld,
 )
 from toricfib.exactmath import (
+    InvariantViolation,
     LatticeVector,
     Rat,
-    adjugate,
     det,
+    ensure_rational,
     is_primitive,
+    lattice_vector,
     parallelepiped_points,
     primitive,
     solve_in_basis,
@@ -65,6 +72,25 @@ def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVec
             found.append((point, coeffs))
     found.sort(key=lambda item: item[0])
     return found
+
+
+def adjugate(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer adjugate by cofactors, adj(A) A = det(A) I: n^2 separate
+    determinants, where ``exactmath.inverse`` runs one elimination."""
+    a = [[int(e) for e in row] for row in matrix]
+    n = len(a)
+    if n == 1:
+        return [[1]]
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [a[r][c] for c in range(n) if c != j]
+                for r in range(n)
+                if r != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * det(minor)
+    return adj
 
 
 class _ConeEvaluator:
@@ -120,6 +146,31 @@ def brute_force_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Fraction, Lattice
             break
     assert best is not None
     return best
+
+
+def fiber_divisor(fan: Fan) -> ToricDivisor:
+    """Pullback of the origin of the base: coefficient u_1 at every ray u."""
+    return ToricDivisor.make(fan, {r: Fraction(r[0]) for r in fan.rays})
+
+
+def fiber_multiplicity(fan: Fan, t: Sequence[int]) -> int:
+    """Multiplicity of the prime divisor of the ray t in the fiber over the
+    origin of the base: the first coordinate of t."""
+    vec = lattice_vector(t)
+    if vec not in fan.ray_set:
+        raise ValueError(f"{vec} is not a ray of the fan")
+    if vec[0] <= 0:
+        raise ValueError("not a fiber component")
+    return vec[0]
+
+
+def is_epsilon_lc(fan: Fan, boundary: ToricDivisor, eps: int | Rat) -> bool:
+    """Whether the pair has mld >= eps, for eps in (0, 1]."""
+    eps = ensure_rational(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must lie in (0, 1]")
+    value, _ = toric_mld(fan, boundary)
+    return value >= eps
 
 
 def smooth_refinement_fiber_coefficient(model: FibrationModel) -> Fraction:
@@ -246,6 +297,22 @@ def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVecto
         lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
         fires=lhs > rhs, bounds=bounds,
     )
+
+
+def verify_explicit_bounds(report: CertificateReport) -> bool:
+    """Check the explicit bounds of a report with a below the threshold.
+
+    Only claimed for a < eps_prime; when they all hold the certificate must
+    have fired, and a report violating that is a bug worth crashing on.
+    """
+    if report.a >= report.eps_prime:
+        raise ValueError("explicit bounds are only claimed below eps_prime")
+    bounds = report.bounds
+    if bounds is None:
+        raise InvariantViolation("report below the threshold carries no bounds")
+    if bounds.all_hold and not report.fires:
+        raise InvariantViolation("explicit bounds hold but the certificate did not fire")
+    return bounds.all_hold
 
 
 def support_contains(fan: Fan, v: Sequence[int | Fraction]) -> bool:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_scan, fan_certify, fan_decomposition, primitive_family
+from oracles import box_scan, fan_certify, fan_decomposition, primitive_family, verify_explicit_bounds
 
 from toricfib import criterion, divisors, fan, serialize
 from toricfib.criterion import (
@@ -19,9 +19,8 @@ from toricfib.criterion import (
     certify,
     epsilon_prime,
     scan,
-    verify_explicit_bounds,
 )
-from toricfib.exactmath import InvariantViolation, is_primitive
+from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.models import (
     decompose,
     log_canonical_class_split,
@@ -300,6 +299,21 @@ class TestSingularStratum:
             for model in (model_V(d, n), y.model, w, u):
                 rebuilt = fan.Fan(d, model.fan.maximal_cones)
                 assert rebuilt == model.fan
+
+    def test_model_boxes_match_smith_normal_form(self):
+        # every maximal cone of V, Y, W and U enumerates its box from its
+        # inverse exactly as the Smith normal form does
+        d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
+        sizes = set()
+        for n, l in SINGULAR_SLICE:
+            w, u = model_W_U(d, l, n)
+            y = model_Y(model_V(d, n), l, r, eps)
+            for model in (model_V(d, n), y.model, w, u):
+                for cone in model.fan.maximal_cones:
+                    points = cone.box_points()
+                    assert points == parallelepiped_points(cone.rays)
+                    sizes.add(len(points))
+        assert max(sizes) > 100
 
 
 class TestExplicitBounds:

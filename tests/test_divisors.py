@@ -9,10 +9,7 @@ from toricfib.divisors import (
     ToricDivisor,
     canonical_divisor,
     character_divisor,
-    fiber_divisor,
-    fiber_multiplicity,
     horizontal_sum,
-    is_epsilon_lc,
     log_discrepancy,
     pullback,
     ray_divisor,
@@ -24,7 +21,7 @@ from toricfib.divisors import (
 from toricfib.exactmath import InvariantViolation, dot
 from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan, star_subdivide
 from toricfib.models import model_V
-from oracles import brute_force_mld, support_contains
+from oracles import brute_force_mld, fiber_divisor, fiber_multiplicity, is_epsilon_lc, support_contains
 
 
 def skew_model_fan(n: int) -> Fan:
@@ -183,6 +180,15 @@ class TestToricMld:
         fan = skew_model_fan(4)
         boundary = ToricDivisor.make(fan, {(0, 1): Fraction(1, 2), (0, -1): Fraction(1, 3)})
         assert toric_mld(fan, boundary) == brute_force_mld(fan, boundary)
+
+    def test_non_primitive_box_points_are_skipped(self):
+        # with boundary coefficient 1 at both rays every candidate has
+        # value 0, and the box point (-5, 5) = 5 (-1, 1) would be the
+        # smallest candidate if non-primitive points were kept
+        fan = Fan(2, (Cone(((-3, 2), (-3, 4))),))
+        assert (-5, 5) in [point for point, _ in fan.maximal_cones[0].box_points()]
+        boundary = ToricDivisor.make(fan, {(-3, 2): 1, (-3, 4): 1})
+        assert toric_mld(fan, boundary) == (0, (-3, 2))
 
 
 class TestEpsilonLc:

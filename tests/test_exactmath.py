@@ -9,9 +9,9 @@ from sympy import Matrix, Rational
 from toricfib import exactmath
 from toricfib.exactmath import (
     InvariantViolation,
-    adjugate,
     det,
     ensure_rational,
+    inverse,
     is_primitive,
     parallelepiped_points,
     primitive,
@@ -20,7 +20,7 @@ from toricfib.exactmath import (
     solve_in_basis,
     sublattice_index,
 )
-from oracles import box_lattice_points
+from oracles import adjugate, box_lattice_points
 
 nonzero_vectors = st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(
     lambda v: any(e != 0 for e in v)
@@ -230,10 +230,50 @@ class TestAdjugate:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        adj = adjugate(a)
         d = det(a)
+        if d == 0:
+            assert inverse(a) is None
+            return
+        adj, base = inverse(a)
+        assert base == d
         prod = [[sum(adj[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert prod == [[d if i == j else 0 for j in range(n)] for i in range(n)]
+
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    @settings(max_examples=100)
+    def test_matches_cofactor_oracle(self, seed, n):
+        rng = random.Random(seed)
+        while True:
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if det(a) != 0:
+                break
+        assert inverse(a) == (adjugate(a), det(a))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0]],
+            [[1, 2], [2, 4]],
+            [[0, 0], [3, 1]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+            [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+            [[2, -1, 0, 1], [1, 1, 1, 1], [3, 0, 1, 2], [5, 2, 3, 6]],
+        ],
+    )
+    def test_singular_is_rejected(self, a):
+        assert det(a) == 0
+        assert inverse(a) is None
+
+    def test_row_swaps_keep_the_sign(self):
+        # the first pivot needs a swap, so the elimination's own determinant
+        # is the negative of det
+        a = [[0, 1, 0], [2, 0, 1], [1, 1, 3]]
+        assert inverse(a) == (adjugate(a), det(a))
+        assert det(a) == -5
+
+    def test_not_square_rejected(self):
+        with pytest.raises(ValueError, match="not square"):
+            inverse([[1, 2, 3], [4, 5, 6]])
 
 
 class TestParallelepiped:

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfib import cli, fan, serialize
-from toricfib.exactmath import InvariantViolation, primitive, solve_in_basis
+from toricfib import cli, divisors, exactmath, fan, serialize
+from toricfib.exactmath import InvariantViolation, det, parallelepiped_points, primitive, solve_in_basis
 from toricfib.fan import (
     Cone,
     Fan,
     _cross,
+    _idot,
     _meet_by_enumeration,
     _meet_in_common_face,
     _separated,
@@ -133,6 +135,115 @@ class TestMultiplicity:
 
     def test_lower_dimensional(self):
         assert multiplicity(Cone(((0, 2, 1), (0, 0, 1)), 3)) == 2
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
+
+
+def random_full_cone(rng: random.Random, d: int) -> Cone:
+    while True:
+        draws = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d)]
+        if all(any(v) for v in draws):
+            try:
+                return Cone(tuple(primitive(v) for v in draws), d)
+            except ValueError:
+                continue
+
+
+def pool_fan_doc(entry: dict) -> dict:
+    return {
+        "ambient_dim": len(entry["rays"][0]),
+        "maximal_cones": [[entry["rays"][i] for i in cone] for cone in entry["cones"]],
+    }
+
+
+class TestConeInverse:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4))
+    @settings(max_examples=120)
+    def test_box_points_match_smith_normal_form(self, seed, d):
+        cone = random_full_cone(random.Random(seed), d)
+        assert cone.box_points() == parallelepiped_points(cone.rays)
+
+    def test_box_points_of_a_skew_cone(self):
+        cone = Cone(((4, 1), (0, -1)))
+        assert [p for p, _ in cone.box_points()] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert Cone(((1, 0), (0, 1))).box_points() == [((0, 0), (0, 0))]
+
+    def test_lower_dimensional_cone_has_no_box(self):
+        with pytest.raises(ValueError, match="not full dimensional"):
+            Cone(((0, 2, 1), (0, 0, 1)), 3).box_points()
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            # the group still has order 4, but (2, 1) / 4 is no lattice point
+            (lambda adj: [[adj[0][0] + 1] + adj[0][1:]] + adj[1:], "not a lattice point"),
+            # the columns of 2 adj generate a group of order 2
+            (lambda adj: [[2 * x for x in row] for row in adj], "order"),
+        ],
+    )
+    def test_corrupted_inverse_detected(self, monkeypatch, corrupt, message):
+        cone = Cone(((4, 1), (0, -1)))
+        adj, base = cone._inverse
+        assert base == 4
+        monkeypatch.setitem(cone.__dict__, "_inverse", (corrupt(adj), base))
+        with pytest.raises(InvariantViolation, match=message):
+            cone.box_points()
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 4))
+    @settings(max_examples=80)
+    def test_wall_normals_are_signed_rows_of_the_adjugate(self, seed, d):
+        # the wall check reads the cross product of wall i and the side of
+        # the dropped ray off the inverse
+        cone = random_full_cone(random.Random(seed), d)
+        adj, base = cone._inverse
+        for i, dropped in enumerate(cone.rays):
+            h = _cross(cone.rays[:i] + cone.rays[i + 1 :], d)
+            assert h == [(-1) ** i * x for x in adj[i]]
+            assert _idot(h, dropped) == (-1) ** i * base
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 5))
+    @settings(max_examples=80)
+    def test_cross_product_pairs_as_a_determinant(self, seed, d):
+        rng = random.Random(seed)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(d - 1)]
+        v = tuple(rng.randint(-6, 6) for _ in range(d))
+        pairing = _idot(_cross(rows, d), v)
+        assert pairing == det([v] + rows)
+        assert pairing == (-1) ** (d - 1) * det(rows + [v])
+
+    def test_cross_product_sign_in_the_plane(self):
+        # d = 2: the pairing with v is det(v, row), the negative of det(row, v)
+        assert _cross([(1, 0)], 2) == [0, -1]
+        assert _idot(_cross([(1, 0)], 2), (0, 1)) == -1 == -det([(1, 0), (0, 1)])
+
+    def test_mld_of_a_user_fan_runs_one_elimination_per_cone(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        patched = [
+            (exactmath, "inverse"),
+            (fan, "inverse"),
+            (exactmath, "smith_normal_form"),
+            (exactmath, "parallelepiped_points"),
+            (exactmath, "rank"),
+            (fan, "rank"),
+            (fan, "_cross"),
+        ]
+        for module, name in patched:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        entry = json.loads(POOL.read_text())["fans"][0]
+        user_fan = serialize.fan_from_dict(pool_fan_doc(entry))
+        assert max(abs(c._inverse[1]) for c in user_fan.maximal_cones) > 1
+        divisors.toric_mld.cache_clear()
+        divisors.toric_mld(user_fan, divisors.zero_divisor(user_fan))
+        assert calls == {"inverse": len(entry["cones"])}
 
 
 class TestStandardFibrationFan:
@@ -256,8 +367,6 @@ class TestFanValidation:
         assert _meet_by_enumeration(c1, c2, shared) == lp_meet_in_common_face(c1, c2)
 
 
-POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
-
 # walks that wind twice around the origin: every ray lies in two cones, on
 # opposite sides of it, and every point but the origin in exactly two
 # cones.  In the second, the rays of each turn bisect the cones of the
@@ -319,9 +428,8 @@ def assert_verdicts(cones: list[Cone], walls: bool | None) -> None:
     rejects and the program confirms every pair; when one is, the check
     never accepts and the program confirms the first bad pair."""
     cones = sorted(cones, key=lambda c: c.rays)
-    d = cones[0].ambient_dim
-    assert _walls_cover_once(cones, d) is walls
-    verdicts = {_walls_cover_once(cones[i:] + cones[:i], d) for i in range(len(cones))}
+    assert _walls_cover_once(cones) is walls
+    verdicts = {_walls_cover_once(cones[i:] + cones[:i]) for i in range(len(cones))}
     pairs = list(combinations(cones, 2))
     bad = next(((c1, c2) for c1, c2 in pairs if not _meet_in_common_face(c1, c2)), None)
     if bad is None:
@@ -344,7 +452,7 @@ class TestWallCheck:
     def test_random_star_subdivisions_take_the_wall_path(self, seed):
         built = random_star_subdivision(seed, 4)
         cones = built.maximal_cones
-        assert _walls_cover_once(cones, built.ambient_dim) is True
+        assert _walls_cover_once(cones) is True
         assert all(_meet_in_common_face(c1, c2) for c1, c2 in combinations(cones, 2))
 
     @given(st.integers(0, 10 ** 6))
@@ -363,7 +471,7 @@ class TestWallCheck:
         fine = star_subdivide(star_subdivide(complete_fan(3), (-1, 2, 0)), (1, 1, 1))
         walls = [c.rays[:i] + c.rays[i + 1 :] for c in fine.maximal_cones for i in range(3)]
         assert all(walls.count(w) == 2 for w in walls)
-        assert _walls_cover_once(fine.maximal_cones, 3) is True
+        assert _walls_cover_once(fine.maximal_cones) is True
 
     @pytest.mark.parametrize("rays", WINDING_TWICE)
     @pytest.mark.parametrize("lift", [False, True])
@@ -391,7 +499,7 @@ class TestWallCheck:
         assert_verdicts(cones, False)
         # in walk order the first cone, <(1, 0), (0, 1)>, lies in the part
         # covered once, so (c) holds and only (a) rejects
-        assert _walls_cover_once(cones, 2) is False
+        assert _walls_cover_once(cones) is False
 
     def test_a_spiral_fails_only_the_boundary(self):
         # one and a half turns from (0, 1) to (0, -1): both unmatched walls
@@ -420,11 +528,7 @@ class TestWallCheck:
         monkeypatch.setattr(fan, "_meet_in_common_face", refuse_pairs)
         pool = json.loads(POOL.read_text())["fans"]
         for entry in pool:
-            doc = {
-                "ambient_dim": len(entry["rays"][0]),
-                "maximal_cones": [[entry["rays"][i] for i in cone] for cone in entry["cones"]],
-            }
-            assert len(serialize.fan_from_dict(doc).maximal_cones) == len(entry["cones"])
+            assert len(serialize.fan_from_dict(pool_fan_doc(entry)).maximal_cones) == len(entry["cones"])
         assert len(pool) == 300
 
     @pytest.mark.parametrize("lift", [False, True])
