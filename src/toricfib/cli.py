@@ -53,6 +53,11 @@ def _flag_vector(text: str, expected_dim: int | None) -> tuple[int, ...]:
     return serialize.parse_vector(entries, expected_dim)
 
 
+def _check_d(d: Any) -> None:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
+        raise InputError("d must be an integer >= 2")
+
+
 def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
     required = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
     if args.infile:
@@ -64,7 +69,8 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
             d = doc["d"]
             r = doc["r"]
             eps = serialize.parse_rational(doc["eps"])
-            n = serialize.parse_vector(doc["n"], d if isinstance(d, int) else None)
+            _check_d(d)
+            n = serialize.parse_vector(doc["n"], d)
         except KeyError as exc:
             raise InputError(f"instance file is missing key {exc}") from None
         l = serialize.parse_vector(doc["l"], len(n)) if doc.get("l") is not None else None
@@ -77,8 +83,7 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
         eps = serialize.parse_rational(args.eps)
         n = _flag_vector(args.n, d)
         l = _flag_vector(args.l, d) if args.l is not None else None
-    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
-        raise InputError("d must be an integer >= 2")
+        _check_d(d)
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise InputError("r must be an integer >= 1")
     if not 0 < eps <= 1:

@@ -22,6 +22,16 @@ The certificate reads only the two smallest-cone decompositions of
 ``models`` and are exercised by the tests, with the two checks on Y
 (``verify_extraction_identities``, ``log_canonical_class_split``) reading
 the star subdivision that ``model_Y`` returns.
+
+The certificate runs in integers.  With eps = p/q and the integer
+numerators A_j = n_1 alpha_j and B_k = l_1 beta_k of the decompositions,
+which ``_check_decompositions`` proves and returns, write N = l_1 + sum(A).
+The checks give gamma = l_1/n_1, a = gamma + sum(alphas) and
+u = (r - 1) sum(alphas), so a = N/n_1, u = (r - 1) sum(A)/n_1 and
+gamma beta_k = B_k/n_1.  Then lhs = (p n_1 - q(N + (r - 1) sum(A)))/(q n_1),
+rhs = (r - 1) sum(B)/n_1, and every comparison of ``certify`` is one of
+integers, multiplied through by the positive q n_1 (``certify`` lists
+them).  Fractions are built only for the fields of the report.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .exactmath import (
@@ -61,7 +72,10 @@ class ExplicitBounds:
 @dataclass(frozen=True)
 class CertificateReport:
     """Everything the certificate computed for one instance, plus the
-    verdict.  ``fires`` is the strict inequality lhs > rhs."""
+    verdict.  ``fires`` is the strict inequality lhs > rhs.  Both checks
+    cross-multiply by positive denominators: lhs > rhs iff
+    lhs.num rhs.den > rhs.num lhs.den, and eps_prime = eps/(3 d r) iff
+    eps_prime.num eps.den 3 d r = eps.num eps_prime.den."""
 
     d: int
     r: int
@@ -81,9 +95,10 @@ class CertificateReport:
     bounds: ExplicitBounds | None
 
     def __post_init__(self) -> None:
-        if self.fires != (self.lhs > self.rhs):
+        lhs, rhs, eps, eps_p = self.lhs, self.rhs, self.eps, self.eps_prime
+        if self.fires != (lhs.numerator * rhs.denominator > rhs.numerator * lhs.denominator):
             raise InvariantViolation("fires must equal the strict comparison lhs > rhs")
-        if self.eps_prime != self.eps / (3 * self.d * self.r):
+        if eps_p.numerator * eps.denominator * 3 * self.d * self.r != eps.numerator * eps_p.denominator:
             raise InvariantViolation("eps_prime must equal eps / (3 d r)")
 
 
@@ -94,51 +109,52 @@ def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ValueError("r must be an integer >= 1")
     eps = ensure_rational(eps)
-    if not 0 < eps <= 1:
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("eps must lie in (0, 1]")
-    return eps / (3 * d * r)
-
-
-def _explicit_bounds(d: int, r: int, eps: Rat, data: DecompositionData) -> ExplicitBounds:
-    a = data.a
-    u_bounded = data.u <= (r - 1) * a
-    two_a = 2 * a
-    beta_terms = all(data.gamma * beta < two_a for _, beta in data.betas)
-    margin = eps - r * a > (r - 1) * (d - 1) * 2 * a
-    return ExplicitBounds(u_bounded, beta_terms, margin)
+    return Fraction(eps.numerator, eps.denominator * 3 * d * r)
 
 
 def _check_decompositions(
-    d: int, n: LatticeVector, l: LatticeVector, data: DecompositionData
-) -> None:
+    d: int, r: int, n: LatticeVector, l: LatticeVector, data: DecompositionData
+) -> tuple[int, list[int]]:
     """Prove in integers that ``data`` holds the smallest-cone
-    decompositions of l on V and of n on W.  With g = n_1 l - l_1 n, the
-    glue check asks gamma = l_1/n_1, sum(n_1 alpha_j h_j) = g and
-    sum(l_1 beta_k h_k) = -g; the face check asks that each side's
-    horizontal rays miss at least one of H = (e_2, ..., e_d, c).  With
-    lam = 1/gamma and the strict positivity of every coefficient, which
+    decompositions of l on V and of n on W, and return sum(A) and the list
+    of the B_k, where A_j = n_1 alpha_j and B_k = l_1 beta_k are integers.
+    With g = n_1 l - l_1 n, the glue check asks gamma = l_1/n_1, that
+    every A_j and B_k is an integer, sum(A_j h_j) = g and
+    sum(B_k h_k) = -g; the face check asks that each side's horizontal
+    rays miss at least one of H = (e_2, ..., e_d, c).  With lam = 1/gamma
+    and the strict positivity of every coefficient, which
     ``DecompositionData`` checks, this puts l in the relative interior of a
     face <n, S> of the V cone <n, H minus h_m>, which is then its smallest
-    cone, and n likewise on W.
+    cone, and n likewise on W.  Last, u = (r - 1) sum(alphas) is checked as
+    u.num n_1 = (r - 1) sum(A) u.den.
     """
     n1, l1 = n[0], l[0]
     if data.gamma.numerator * n1 != l1 * data.gamma.denominator:
         raise InvariantViolation("the two smallest-cone decompositions do not glue")
     g = [n1 * li - l1 * ni for ni, li in zip(n, l)]
     horizontal = set(horizontal_rays(d))
+    sides = []
     for coeffs, scale, sign in ((data.alphas, n1, 1), (data.betas, l1, -1)):
         rays = {ray for ray, _ in coeffs}
         if len(rays) != len(coeffs) or not rays < horizontal:
             raise InvariantViolation("a decomposition does not lie on a cone of the fan")
         total = [0] * d
+        nums = []
         for ray, c in coeffs:
             num, rem = divmod(c.numerator * scale, c.denominator)
             if rem:
                 raise InvariantViolation("the two smallest-cone decompositions do not glue")
-            for i, x in enumerate(ray):
-                total[i] += num * x
+            nums.append(num)
+            total = [t + num * x for t, x in zip(total, ray)]
         if any(t != sign * gi for t, gi in zip(total, g)):
             raise InvariantViolation("the two smallest-cone decompositions do not glue")
+        sides.append(nums)
+    alpha_total = sum(sides[0])
+    if data.u.numerator * n1 != (r - 1) * alpha_total * data.u.denominator:
+        raise InvariantViolation("u != (r - 1) * sum(alphas)")
+    return alpha_total, sides[1]
 
 
 def certify(
@@ -149,16 +165,35 @@ def certify(
     After the input checks (raising ``ValueError``), ``decompose`` writes
     the two smallest-cone decompositions in closed form and
     ``_check_decompositions`` proves in integers that they are; no fan,
-    subdivision or divisor is built."""
+    subdivision or divisor is built.
+
+    The verdict and the bounds are integer comparisons.  With eps = p/q,
+    N = n_1 a = l_1 + sum(A) (``a_num``) and the B_k of
+    ``_check_decompositions`` (see the module docstring), multiplying each
+    side by q n_1 > 0 gives:
+    - fires, lhs > rhs: p n_1 - q(N + (r - 1) sum(A)) > q (r - 1) sum(B);
+    - a < eps_prime = p/(3 d r q): 3 d r q N < p n_1;
+    - u <= (r - 1) a: (r - 1) sum(A) <= (r - 1) N;
+    - gamma beta_k < 2a: B_k < 2N, for every k;
+    - eps - r a > (r - 1)(d - 1) 2a: p n_1 - q r N > 2 q (r - 1)(d - 1) N.
+    """
     eps = ensure_rational(eps)
     nvec, lvec = lattice_vector(n), lattice_vector(l)
     eps_p = epsilon_prime(d, r, eps)
     data = decompose(d, nvec, lvec, r)
-    _check_decompositions(d, nvec, lvec, data)
+    alpha_total, beta_nums = _check_decompositions(d, r, nvec, lvec, data)
 
-    lhs = eps - data.a - data.u
-    rhs = (r - 1) * data.gamma * data.beta_sum
-    bounds = _explicit_bounds(d, r, eps, data) if data.a < eps_p else None
+    p, q, n1 = eps.numerator, eps.denominator, nvec[0]
+    a_num = lvec[0] + alpha_total
+    lhs_num = p * n1 - q * (a_num + (r - 1) * alpha_total)
+    rhs_num = (r - 1) * sum(beta_nums)
+    bounds = None
+    if 3 * d * r * q * a_num < p * n1:
+        bounds = ExplicitBounds(
+            u_bounded=(r - 1) * alpha_total <= (r - 1) * a_num,
+            beta_terms_bounded=all(b < 2 * a_num for b in beta_nums),
+            margin_strict=p * n1 - q * r * a_num > 2 * q * (r - 1) * (d - 1) * a_num,
+        )
     return CertificateReport(
         d=d,
         r=r,
@@ -172,9 +207,9 @@ def certify(
         lam=data.lam,
         alphas=data.alphas,
         betas=data.betas,
-        lhs=lhs,
-        rhs=rhs,
-        fires=lhs > rhs,
+        lhs=Fraction(lhs_num, q * n1),
+        rhs=Fraction(rhs_num, n1),
+        fires=lhs_num > q * rhs_num,
         bounds=bounds,
     )
 

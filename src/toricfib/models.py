@@ -73,6 +73,12 @@ class DecompositionData:
     decomposition n = lam*l + sum(beta_k h_k) on the W-fan; lam*gamma = 1.
     The h_j and h_k are horizontal rays, and alphas and betas list only
     the strictly positive coefficients, sorted by ray.
+
+    The checks run in integers.  A rational keeps a positive denominator,
+    so x > 0 iff its numerator is, and x = y iff x.num y.den = y.num x.den.
+    With D the lcm of the denominators of gamma and the alphas, each of
+    them is x.num (D/x.den)/D, so gamma + sum(alphas) = S/D with S the sum
+    of the x.num (D/x.den), and a = S/D iff a.num D = S a.den.
     """
 
     gamma: Rat
@@ -83,24 +89,24 @@ class DecompositionData:
     betas: tuple[tuple[LatticeVector, Rat], ...]
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
+        gamma, a, lam = self.gamma, self.a, self.lam
+        if gamma.numerator <= 0:
             raise ValueError("gamma must be positive")
-        if any(c <= 0 for _, c in self.alphas):
+        if any(c.numerator <= 0 for _, c in self.alphas):
             raise ValueError("alpha coefficients must be strictly positive")
-        if any(c <= 0 for _, c in self.betas):
+        if any(c.numerator <= 0 for _, c in self.betas):
             raise ValueError("beta coefficients must be strictly positive")
-        if self.a != self.gamma + self.alpha_sum:
+        terms = [gamma] + [c for _, c in self.alphas]
+        den = math.lcm(*(x.denominator for x in terms))
+        total = sum(x.numerator * (den // x.denominator) for x in terms)
+        if a.numerator * den != total * a.denominator:
             raise InvariantViolation("a != gamma + sum(alphas)")
-        if self.lam * self.gamma != 1:
+        if lam.numerator * gamma.numerator != lam.denominator * gamma.denominator:
             raise InvariantViolation("lam * gamma != 1")
 
     @property
     def alpha_sum(self) -> Rat:
         return sum((c for _, c in self.alphas), Fraction(0))
-
-    @property
-    def beta_sum(self) -> Rat:
-        return sum((c for _, c in self.betas), Fraction(0))
 
 
 class YModelResult(NamedTuple):

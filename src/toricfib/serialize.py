@@ -4,17 +4,22 @@ Rationals travel as exact lowest-terms strings ("2/5", "-3", "1"); floats
 are rejected everywhere.  Every report is a dataclass written by one
 encoder, ``encode``: a report becomes a document carrying schema_version 1,
 its kind and a legend describing each quantity, and a report nested inside
-another keeps that envelope.  Emission is deterministic (sorted keys).
-Reports are output only; nothing reads them back in.
+another keeps that envelope.  ``encode`` reads each report class through a
+field plan built on its first use: the keys and attributes of its fields,
+its derived properties, its constants and its envelope.  One writer,
+``dumps``, emits the text: sorted keys, two-space indentation and ASCII
+escapes, byte for byte what ``json.dumps(doc, sort_keys=True, indent=2)``
+writes, which the tests hold it to.  Reports are output only; nothing
+reads them back in.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Mapping
 
 from .criterion import CertificateReport, ExplicitBounds, ScanSummary
 from .exactmath import LatticeVector, Rat
@@ -38,7 +43,7 @@ def parse_rational(text: Any) -> Rat:
 
 def parse_vector(value: Any, expected_dim: int | None = None) -> LatticeVector:
     """A lattice vector from a JSON document: an array of integers."""
-    if isinstance(value, str) or not isinstance(value, Sequence):
+    if not isinstance(value, (list, tuple)):
         raise InputError(f"vectors must be integer arrays, got {value!r}")
     if any(isinstance(e, bool) or not isinstance(e, int) for e in value):
         raise InputError(f"vector entries must be integers, got {value!r}")
@@ -118,28 +123,44 @@ _CONSTANTS: dict[type, dict[str, str]] = {
     },
 }
 _RENAMED = {"lam": "lambda"}
+# JSON scalars that a report holds and that encode to themselves
+_SCALARS = frozenset((type(None), bool, int, str))
+# a report class's (key, attribute) pairs, its derived properties, and the
+# constants and envelope written after them
+_Plan = tuple[tuple[tuple[str, str], ...], tuple[str, ...], dict[str, Any]]
+# one plan per report class, built on its first use
+_PLANS: dict[type, _Plan] = {}
+
+
+def _plan(cls: type) -> _Plan:
+    if not is_dataclass(cls):
+        raise TypeError(f"cannot encode {cls.__name__} exactly")
+    pairs = tuple((_RENAMED.get(f.name, f.name), f.name) for f in fields(cls))
+    extra = dict(_CONSTANTS.get(cls, {}))
+    if cls in _ENVELOPES:
+        kind, legend = _ENVELOPES[cls]
+        extra.update(schema_version=SCHEMA_VERSION, kind=kind, legend=legend)
+    plan = _PLANS[cls] = (pairs, _DERIVED.get(cls, ()), extra)
+    return plan
 
 
 def encode(value: Any) -> Any:
     """The JSON value of a report or of anything inside one: a dataclass
     becomes an object of its fields (a report adds its envelope), a
-    Fraction its string, a tuple or list an array."""
-    if value is None or isinstance(value, (bool, int, str)):
+    Fraction its string, a tuple or list an array.  Leaves are dispatched
+    on their exact type; a dataclass is written by the plan of its class."""
+    kind = type(value)
+    if kind in _SCALARS:
         return value
-    if isinstance(value, Fraction):
+    if kind is Fraction:
         return str(value)
-    if isinstance(value, (tuple, list)):
+    if kind is tuple or kind is list:
         return [encode(item) for item in value]
-    if not is_dataclass(value):
-        raise TypeError(f"cannot encode {type(value).__name__} exactly")
-    cls = type(value)
-    doc = {_RENAMED.get(f.name, f.name): encode(getattr(value, f.name)) for f in fields(value)}
-    for name in _DERIVED.get(cls, ()):
+    pairs, derived, extra = _PLANS.get(kind) or _plan(kind)
+    doc = {key: encode(getattr(value, attr)) for key, attr in pairs}
+    for name in derived:
         doc[name] = getattr(value, name)
-    doc.update(_CONSTANTS.get(cls, {}))
-    if cls in _ENVELOPES:
-        kind, legend = _ENVELOPES[cls]
-        doc.update(schema_version=SCHEMA_VERSION, kind=kind, legend=legend)
+    doc.update(extra)
     return doc
 
 
@@ -168,5 +189,51 @@ def fan_from_dict(doc: Mapping[str, Any]) -> Fan:
         raise InputError(str(exc)) from None
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``.  ``newline`` is a newline
+    and the indentation of ``value``'s own line; its members go on lines
+    indented two spaces more."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is bool or value is None:
+        out.append(_LITERALS[value])
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def dumps(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` and a
+    newline, for a document of dicts with str keys, lists (or tuples),
+    str, int, bool and None; any other type raises ``TypeError``."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)

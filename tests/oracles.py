@@ -11,7 +11,12 @@ reads both decompositions off the smallest containing cones of the built
 V and W fans instead of the closed form, and glues them in Fractions.
 The scan oracle classifies and certifies every primitive n of the box one
 at a time instead of once per residue class.  The cofactor adjugate takes
-n^2 determinants where ``exactmath.inverse`` runs one elimination.
+n^2 determinants where ``exactmath.inverse`` runs one elimination.  The
+Fraction certificate runs the tail of ``criterion.certify`` and the checks
+of ``DecompositionData`` and ``CertificateReport`` by Fraction arithmetic,
+where the package compares integers.  The generic encoder walks each
+report's ``dataclasses.fields`` where ``serialize.encode`` reads a field
+plan.
 
 The fiber divisor and multiplicity, the eps-lc predicate and the check of
 a report's explicit bounds feed no result of the package and live here,
@@ -22,12 +27,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from dataclasses import fields, is_dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from sympy import Eq, symbols
 from sympy.solvers.simplex import lpmax
 
+from toricfib import serialize
 from toricfib.criterion import (
     CertificateReport,
     ExplicitBounds,
@@ -54,7 +61,7 @@ from toricfib.exactmath import (
     solve_in_basis,
 )
 from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
-from toricfib.models import DecompositionData, FibrationModel, model_V
+from toricfib.models import DecompositionData, FibrationModel, decompose, model_V
 
 
 def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVector, tuple]]:
@@ -349,3 +356,82 @@ def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
         fired=sum(1 for rep in reports if rep.fires),
         failures=tuple(rep for rep in reports if not rep.fires),
     )
+
+
+def fraction_decomposition_checks(gamma, alphas, a, lam, betas) -> None:
+    """The checks of ``DecompositionData`` by Fraction arithmetic, with its
+    messages."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if any(c <= 0 for _, c in alphas):
+        raise ValueError("alpha coefficients must be strictly positive")
+    if any(c <= 0 for _, c in betas):
+        raise ValueError("beta coefficients must be strictly positive")
+    if a != gamma + sum((c for _, c in alphas), Fraction(0)):
+        raise InvariantViolation("a != gamma + sum(alphas)")
+    if lam * gamma != 1:
+        raise InvariantViolation("lam * gamma != 1")
+
+
+def fraction_report_checks(d, r, eps, eps_prime, lhs, rhs, fires) -> None:
+    """The checks of ``CertificateReport`` by Fraction arithmetic, with its
+    messages."""
+    if fires != (lhs > rhs):
+        raise InvariantViolation("fires must equal the strict comparison lhs > rhs")
+    if eps_prime != eps / (3 * d * r):
+        raise InvariantViolation("eps_prime must equal eps / (3 d r)")
+
+
+def fraction_certify(d: int, r: int, eps: Rat, n: LatticeVector, l: LatticeVector) -> CertificateReport:
+    """``criterion.certify`` of valid input with its tail by Fraction
+    arithmetic: the decompositions of ``models.decompose``, checked by
+    ``fraction_decomposition_checks``, then eps_prime = eps/(3 d r),
+    lhs = eps - a - u, rhs = (r - 1) gamma sum(betas), the verdict lhs > rhs
+    and, when a < eps_prime, the explicit bounds from their definitions."""
+    eps = ensure_rational(eps)
+    assert 0 < eps <= 1
+    data = decompose(d, n, l, r)
+    fraction_decomposition_checks(data.gamma, data.alphas, data.a, data.lam, data.betas)
+    eps_p = eps / (3 * d * r)
+    lhs = eps - data.a - data.u
+    rhs = (r - 1) * data.gamma * sum((c for _, c in data.betas), Fraction(0))
+    bounds = None
+    if data.a < eps_p:
+        a = data.a
+        bounds = ExplicitBounds(
+            u_bounded=data.u <= (r - 1) * a,
+            beta_terms_bounded=all(data.gamma * beta < 2 * a for _, beta in data.betas),
+            margin_strict=eps - r * a > (r - 1) * (d - 1) * 2 * a,
+        )
+    fraction_report_checks(d, r, eps, eps_p, lhs, rhs, lhs > rhs)
+    return CertificateReport(
+        d=d, r=r, eps=eps, eps_prime=eps_p, n=tuple(n), l=tuple(l), a=data.a, gamma=data.gamma,
+        u=data.u, lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
+        fires=lhs > rhs, bounds=bounds,
+    )
+
+
+def generic_encode(value: Any) -> Any:
+    """``serialize.encode`` by a walk of ``dataclasses.fields`` with
+    ``isinstance`` tests on every value, with the same legends, renames,
+    derived properties and constants."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (tuple, list)):
+        return [generic_encode(item) for item in value]
+    if not is_dataclass(value):
+        raise TypeError(f"cannot encode {type(value).__name__} exactly")
+    cls = type(value)
+    doc = {
+        serialize._RENAMED.get(f.name, f.name): generic_encode(getattr(value, f.name))
+        for f in fields(value)
+    }
+    for name in serialize._DERIVED.get(cls, ()):
+        doc[name] = getattr(value, name)
+    doc.update(serialize._CONSTANTS.get(cls, {}))
+    if cls in serialize._ENVELOPES:
+        kind, legend = serialize._ENVELOPES[cls]
+        doc.update(schema_version=serialize.SCHEMA_VERSION, kind=kind, legend=legend)
+    return doc

@@ -68,31 +68,35 @@ MLD_REPORT = """{
 """
 
 
-@pytest.mark.parametrize(
-    "n,mld,minimizer",
-    [
-        ("1,0", "1", (0, -1)),
-        ("1,5", "1", (0, -1)),
-        ("5,1", "2/5", (1, 0)),
-        ("7,-3", "3/7", (2, -1)),
-        ("12,5", "1/3", (2, 1)),
-        ("1,0,0", "1", (0, -1, -1)),
-        ("1,-4,7", "1", (0, -1, -1)),
-        ("3,1,1", "2/3", (1, 0, 0)),
-        ("8,-3,5", "1/2", (2, -1, 1)),
-        ("109,1,1", "2/109", (1, 0, 0)),
-        ("1,0,0,0", "1", (0, -1, -1, -1)),
-        ("5,2,-1,3", "1", (0, -1, -1, -1)),
-        ("7,1,1,1", "2/7", (1, 0, 0, 0)),
-        ("12,-5,7,3", "1", (0, -1, -1, -1)),
-    ],
-)
+MLD_FAN_OF_V_CASES = [
+    ("1,0", "1", (0, -1)),
+    ("1,5", "1", (0, -1)),
+    ("5,1", "2/5", (1, 0)),
+    ("7,-3", "3/7", (2, -1)),
+    ("12,5", "1/3", (2, 1)),
+    ("1,0,0", "1", (0, -1, -1)),
+    ("1,-4,7", "1", (0, -1, -1)),
+    ("3,1,1", "2/3", (1, 0, 0)),
+    ("8,-3,5", "1/2", (2, -1, 1)),
+    ("109,1,1", "2/109", (1, 0, 0)),
+    ("1,0,0,0", "1", (0, -1, -1, -1)),
+    ("5,2,-1,3", "1", (0, -1, -1, -1)),
+    ("7,1,1,1", "2/7", (1, 0, 0, 0)),
+    ("12,-5,7,3", "1", (0, -1, -1, -1)),
+]
+
+
+def _mld_text(n, mld, minimizer):
+    lines = ",\n".join(f"    {x}" for x in minimizer)
+    return MLD_REPORT % (n.count(",") + 1, lines, mld)
+
+
+@pytest.mark.parametrize("n,mld,minimizer", MLD_FAN_OF_V_CASES)
 def test_mld_fan_of_v_golden(capsys, n, mld, minimizer):
     d = n.count(",") + 1
     assert cli.main(["mld", "--fan-of-v", "--d", str(d), f"--n={n}"]) == cli.EXIT_OK
     out, err = capsys.readouterr()
-    lines = ",\n".join(f"    {x}" for x in minimizer)
-    assert out == MLD_REPORT % (d, lines, mld)
+    assert out == _mld_text(n, mld, minimizer)
     assert err == ""
 
 
@@ -160,20 +164,20 @@ EXAMPLE_REPORT = """{
 """
 
 
-@pytest.mark.parametrize(
-    "n,r,eps,a,fires,pairing",
-    [
-        (2, 1, "1/2", "1", "false", "1/2"),
-        (3, 1, "1/2", "2/3", "false", "1/6"),
-        (5, 2, "1/3", "2/5", "false", "7/15"),
-        (7, 3, "2/5", "2/7", "false", "16/35"),
-        (12, 2, "1/3", "1/6", "false", "0"),
-        (40, 2, "1/3", "1/20", "true", "-7/30"),
-        (60, 1, "1", "1/30", "true", "-29/30"),
-        (120, 3, "1/7", "1/60", "true", "-13/140"),
-        (200, 2, "1/3", "1/100", "true", "-47/150"),
-    ],
-)
+EXAMPLE_CASES = [
+    (2, 1, "1/2", "1", "false", "1/2"),
+    (3, 1, "1/2", "2/3", "false", "1/6"),
+    (5, 2, "1/3", "2/5", "false", "7/15"),
+    (7, 3, "2/5", "2/7", "false", "16/35"),
+    (12, 2, "1/3", "1/6", "false", "0"),
+    (40, 2, "1/3", "1/20", "true", "-7/30"),
+    (60, 1, "1", "1/30", "true", "-29/30"),
+    (120, 3, "1/7", "1/60", "true", "-13/140"),
+    (200, 2, "1/3", "1/100", "true", "-47/150"),
+]
+
+
+@pytest.mark.parametrize("n,r,eps,a,fires,pairing", EXAMPLE_CASES)
 def test_example_golden(capsys, n, r, eps, a, fires, pairing):
     assert cli.main(["example", "--n", str(n), "--r", str(r), "--eps", eps]) == cli.EXIT_OK
     out, err = capsys.readouterr()
@@ -277,16 +281,26 @@ def test_certify_golden(capsys, flags, doc):
 
 
 SCAN_D2 = ["scan", "--d", "2", "--r", "1", "--eps", "1/2", "--bound", "26"]
+SCAN_FAILURE_DOC = {
+    "bound": 8, "d": 3, "eps": "1/3", "eps_prime": "1/54", "epsilon_lc": 4,
+    "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
+    "failures": [dict(CERTIFY_GOLDENS[3][1], legend=CERTIFICATE_LEGEND, schema_version=1)],
+    "fired": 0, "kind": "scan", "r": 2, "singular": 1, "total": 5,
+}
+
+
+SCAN_D2_DOC = {
+    "bound": 26, "d": 2, "eps": "1/2", "eps_prime": "1/12", "epsilon_lc": 837,
+    "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
+    "failures": [], "fired": 10, "kind": "scan", "r": 1, "singular": 10, "total": 847,
+}
 
 
 @pytest.mark.parametrize("jobs", [[], ["--jobs", "1"]])
 def test_scan_golden(capsys, jobs):
     assert cli.main(SCAN_D2 + jobs) == cli.EXIT_OK
     out, err = capsys.readouterr()
-    doc = {"bound": 26, "d": 2, "eps": "1/2", "eps_prime": "1/12", "epsilon_lc": 837,
-           "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
-           "failures": [], "fired": 10, "kind": "scan", "r": 1, "singular": 10, "total": 847}
-    assert out == _golden(doc, SCAN_LEGEND)
+    assert out == _golden(SCAN_D2_DOC, SCAN_LEGEND)
     assert err == ""
 
 
@@ -307,28 +321,24 @@ def test_scan_failure_nests_certificates_and_exits_3(monkeypatch, capsys):
     argv = ["scan", "--d", "3", "--r", "2", "--eps", "1/3", "--bound", "8", "--jobs", "1"]
     assert cli.main(argv) == cli.EXIT_SCAN_FAILURE
     out, err = capsys.readouterr()
-    doc = {"bound": 8, "d": 3, "eps": "1/3", "eps_prime": "1/54", "epsilon_lc": 4,
-           "epsilon_lc_note": "fiber multiplicity bounded by the external boundedness theorem",
-           "failures": [dict(certificate, legend=CERTIFICATE_LEGEND, schema_version=1)],
-           "fired": 0, "kind": "scan", "r": 2, "singular": 1, "total": 5}
-    assert out == _golden(doc, SCAN_LEGEND)
+    assert out == _golden(SCAN_FAILURE_DOC, SCAN_LEGEND)
     assert err == ""
 
 
-@pytest.mark.parametrize(
-    "fan,doc",
-    [
-        (
-            {"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], [-1, 2]]]},
-            {"d": 2, "kind": "mld", "minimizer": [0, 1], "mld": "2/5"},
-        ),
-        (
-            {"ambient_dim": 3, "maximal_cones": [[[1, 0, 0], [0, 1, 0], [1, 2, 5]],
-                                                 [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]},
-            {"d": 3, "kind": "mld", "minimizer": [0, 0, -1], "mld": "1"},
-        ),
-    ],
-)
+MLD_FAN_GOLDENS = [
+    (
+        {"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], [-1, 2]]]},
+        {"d": 2, "kind": "mld", "minimizer": [0, 1], "mld": "2/5"},
+    ),
+    (
+        {"ambient_dim": 3, "maximal_cones": [[[1, 0, 0], [0, 1, 0], [1, 2, 5]],
+                                             [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]},
+        {"d": 3, "kind": "mld", "minimizer": [0, 0, -1], "mld": "1"},
+    ),
+]
+
+
+@pytest.mark.parametrize("fan,doc", MLD_FAN_GOLDENS)
 def test_mld_fan_golden(tmp_path, capsys, fan, doc):
     path = tmp_path / "fan.json"
     path.write_text(json.dumps(fan))
@@ -439,3 +449,32 @@ def test_certify_flag_errors(capsys, flags, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _golden_texts():
+    """The stdout of every golden above, as recorded."""
+    texts = [_golden(doc, CERTIFICATE_LEGEND) for _, doc in CERTIFY_GOLDENS]
+    texts += [_golden(doc, MLD_LEGEND) for _, doc in MLD_FAN_GOLDENS]
+    texts += [_golden(doc, SCAN_LEGEND) for doc in (SCAN_D2_DOC, SCAN_FAILURE_DOC)]
+    texts += [_mld_text(*case) for case in MLD_FAN_OF_V_CASES]
+    texts += [EXAMPLE_REPORT % (a, eps, fires, n, pairing, r) for n, r, eps, a, fires, pairing in EXAMPLE_CASES]
+    return texts
+
+
+@pytest.mark.parametrize("text", _golden_texts())
+def test_dumps_writes_every_golden_as_json_does(text):
+    doc = json.loads(text)
+    assert serialize.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "d,n",
+    [(True, [3, 1]), (False, [3, 1]), (1, [3, 1]), (1, [3]), ("2", [3, 1]), (2.0, [3, 1]), (None, [3, 1])],
+)
+def test_certify_in_checks_d_before_the_vectors(tmp_path, capsys, d, n):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"d": d, "r": 1, "eps": "1/2", "n": n, "l": [1, 0]}))
+    assert cli.main(["certify", "--in", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: d must be an integer >= 2\n"

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import box_scan, fan_certify, fan_decomposition, primitive_family, verify_explicit_bounds
+from oracles import (
+    box_scan,
+    fan_certify,
+    fan_decomposition,
+    fraction_certify,
+    fraction_decomposition_checks,
+    fraction_report_checks,
+    primitive_family,
+    verify_explicit_bounds,
+)
 
 from toricfib import criterion, divisors, fan, serialize
 from toricfib.criterion import (
@@ -22,6 +31,7 @@ from toricfib.criterion import (
 )
 from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.models import (
+    DecompositionData,
     decompose,
     log_canonical_class_split,
     model_V,
@@ -206,6 +216,152 @@ class TestCertifyClosedForm:
         monkeypatch.setattr(criterion, "decompose", lambda *args: corrupt(decompose(*args)))
         with pytest.raises(InvariantViolation, match=message):
             certify(3, 2, Fraction(1, 3), (7, -2, 3), (2, 1, 1))
+
+
+def _raised(fn):
+    """The type and message ``fn()`` raises, or None."""
+    try:
+        fn()
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _same_as_fraction_form(d, r, eps, n, l):
+    report = certify(d, r, eps, n, l)
+    expected = fraction_certify(d, r, eps, n, l)
+    assert report == expected
+    assert repr(report) == repr(expected)
+    return report
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+class TestIntegerCertificate:
+    """``certify`` compares integers; ``oracles.fraction_certify`` does the
+    same work in Fraction arithmetic."""
+
+    def test_benchmark_pool_equals_the_fraction_form(self):
+        pool = WORKLOADS.certify_stream(0)
+        assert len(pool) == 2094
+        for n, l, _ in pool:
+            _same_as_fraction_form(WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS, n, l)
+
+    @pytest.mark.parametrize(
+        "d,r,eps,family,singular",
+        [
+            (2, 1, Fraction(1, 2), list(primitive_family(2, 40)), 112),
+            (3, 2, Fraction(1, 3), [n for n in itertools.product(range(109, 151), (-1, 0, 1), (-1, 0, 1))
+                                    if is_primitive(n)], 126),
+        ],
+        ids=["scan-d2", "d3-band"],
+    )
+    def test_scan_singular_instances_equal_the_fraction_form(self, d, r, eps, family, singular):
+        eps_p = epsilon_prime(d, r, eps)
+        reports = [rep for _, is_lc, rep in (_scan_instance((d, r, eps, eps_p, n)) for n in family) if not is_lc]
+        assert len(reports) == singular
+        for rep in reports:
+            assert _same_as_fraction_form(d, r, eps, rep.n, rep.l) == rep
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_instances_equal_the_fraction_form(self, seed):
+        rng = random.Random(seed)
+        d = rng.randint(2, 4)
+        n = random_vertical(rng, d, rng.choice((3, 40, 400)))
+        l = random_vertical(rng, d, rng.choice((1, 3, 40)))
+        if n != l:
+            eps = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            eps = min(eps, 1 / eps)
+            _same_as_fraction_form(d, rng.randint(1, 4), eps, n, l)
+
+    def test_random_instances_reach_every_branch(self):
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(600):
+            d = rng.randint(2, 4)
+            n = random_vertical(rng, d, rng.choice((3, 400)))
+            l = (1,) + (0,) * (d - 1) if rng.random() < 0.5 else random_vertical(rng, d, 3)
+            if n == l:
+                continue
+            eps = Fraction(rng.randint(1, 12), 12)
+            report = _same_as_fraction_form(d, rng.randint(1, 4), eps, n, l)
+            kinds.add((report.fires, report.bounds is not None and report.bounds.all_hold,
+                       report.bounds is None))
+        # firing with all bounds, firing above the threshold, and not firing
+        assert {(True, True, False), (True, False, True), (False, False, True)} <= kinds
+
+    @given(SMALL_RATIONALS, st.lists(SMALL_RATIONALS, max_size=3), SMALL_RATIONALS, SMALL_RATIONALS,
+           st.lists(SMALL_RATIONALS, max_size=3), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_decomposition_checks_equal_the_fraction_form(self, gamma, alphas, a, lam, betas, consistent):
+        rays = [(0, 1, 0), (0, 0, 1), (0, -1, -1)]
+        alphas = tuple(zip(rays, alphas))
+        betas = tuple(zip(rays, betas))
+        if consistent and gamma:
+            a, lam = gamma + sum((c for _, c in alphas), Fraction(0)), 1 / gamma
+        fields = dict(gamma=gamma, alphas=alphas, a=a, lam=lam, betas=betas)
+        expected = _raised(lambda: fraction_decomposition_checks(**fields))
+        assert _raised(lambda: DecompositionData(u=Fraction(0), **fields)) == expected
+
+    @given(st.integers(2, 4), st.integers(1, 4), SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS,
+           SMALL_RATIONALS, st.booleans(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_report_checks_equal_the_fraction_form(self, d, r, eps, eps_p, lhs, rhs, fires, consistent):
+        if consistent:
+            eps_p = eps / (3 * d * r)
+        fields = dict(d=d, r=r, eps=eps, eps_prime=eps_p, lhs=lhs, rhs=rhs, fires=fires)
+        expected = _raised(lambda: fraction_report_checks(**fields))
+        report = certify(3, 2, Fraction(1, 3), (109, 1, 1), (1, 0, 0))
+        assert _raised(lambda: replace(report, **fields)) == expected
+
+    @pytest.mark.parametrize(
+        "corrupt,kind,message",
+        [
+            (lambda data: replace(data, gamma=-data.gamma), ValueError, "gamma must be positive"),
+            (lambda data: replace(data, alphas=tuple((ray, -c) for ray, c in data.alphas)),
+             ValueError, "alpha coefficients must be strictly positive"),
+            (lambda data: replace(data, betas=data.betas[:1] + ((data.betas[1][0], Fraction(0)),)),
+             ValueError, "beta coefficients must be strictly positive"),
+            # a off by 1/7, a denominator none of the others has
+            (lambda data: replace(data, a=data.a + Fraction(1, 7)), InvariantViolation,
+             "a != gamma + sum(alphas)"),
+            (lambda data: replace(data, lam=data.lam + 1), InvariantViolation, "lam * gamma != 1"),
+            (lambda data: replace(data, u=data.u * 2), InvariantViolation, "u != (r - 1) * sum(alphas)"),
+        ],
+    )
+    def test_corrupted_decompositions_raise(self, monkeypatch, corrupt, kind, message):
+        monkeypatch.setattr(criterion, "decompose", lambda *args: corrupt(decompose(*args)))
+        with pytest.raises(kind) as raised:
+            certify(3, 2, Fraction(1, 3), (7, -2, 3), (2, 1, 1))
+        assert str(raised.value) == message
+
+    def test_corrupted_reports_raise(self, monkeypatch):
+        report = certify(3, 2, Fraction(1, 3), (109, 1, 1), (1, 0, 0))
+        assert report.fires
+        for fields in ({"fires": False}, {"lhs": report.rhs}, {"lhs": -report.lhs}):
+            with pytest.raises(InvariantViolation, match="^fires must equal the strict comparison lhs > rhs$"):
+                replace(report, **fields)
+        monkeypatch.setattr(criterion, "epsilon_prime", lambda d, r, eps: eps / (3 * d * r + 1))
+        with pytest.raises(InvariantViolation, match=r"^eps_prime must equal eps / \(3 d r\)$"):
+            certify(3, 2, Fraction(1, 3), (109, 1, 1), (1, 0, 0))
+
+    def test_certify_does_no_fraction_arithmetic(self, monkeypatch):
+        calls = []
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__lt__", "__gt__"):
+            original = getattr(Fraction, name)
+
+            def counting(self, other, original=original, name=name):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        n, l, _ = WORKLOADS.certify_stream(0)[0]
+        report = certify(WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS, n, l)
+        assert calls == []
+        assert report.a < report.eps_prime  # the counters count
+        assert calls == ["__lt__"]
 
 
 # certify's exception for invalid input, recorded before the closed form
