@@ -81,9 +81,9 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
         d = args.d
         r = args.r
         eps = serialize.parse_rational(args.eps)
+        _check_d(d)
         n = _flag_vector(args.n, d)
         l = _flag_vector(args.l, d) if args.l is not None else None
-        _check_d(d)
     if isinstance(r, bool) or not isinstance(r, int) or r < 1:
         raise InputError("r must be an integer >= 1")
     if not 0 < eps <= 1:

@@ -14,9 +14,9 @@ only the box-point slices k < eps' n_1 of the V model, and it sweeps by
 residue class: whether n is eps'-lc, and its mld when it is not, depend on
 n only through n_1 and n' mod n_1 (a lemma proved in ``scan``), so each
 class is classified once and weighted by its number of lifts in the box.
-Only the lifts of singular classes are classified and certified one by
-one, and each must agree with its class.  No class with n_1 <= 1/eps' is
-classified at all.
+The lifts share the class's minimizer, moved, and its verdict, so a
+singular class is certified once, and only the lifts of a class that does
+not fire one by one.  No class with n_1 <= 1/eps' is classified at all.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -244,34 +244,20 @@ def _lift_range(rho: int, n1: int, bound: int) -> range:
     return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
-def _scan_instance(
-    args: tuple[int, int, Rat, Rat, LatticeVector],
-) -> tuple[LatticeVector, bool, CertificateReport | None]:
-    d, r, eps, eps_p, n = args
-    below = model_V_mld_below(d, n, eps_p)
-    if below is None:
-        return n, True, None
-    minimizer = below[1]
-    if minimizer[0] <= 0:
-        raise InvariantViolation(
-            "an mld minimizer below the threshold must be vertical"
-        )
-    return n, False, certify(d, r, eps, n, minimizer)
-
-
 def _scan_n1(
     args: tuple[int, int, Rat, Rat, int, int],
-) -> tuple[int, int, list[CertificateReport]]:
-    """The count and the eps_prime-lc count of the primitive n of the box
-    with first coordinate n1, and the reports of its singular ones in
-    lexicographic order, swept by residue class as ``scan`` describes."""
+) -> tuple[int, int, int, int, list[CertificateReport]]:
+    """The count, the eps_prime-lc count, the singular and the fired counts
+    of the primitive n of the box with first coordinate n1, and the reports
+    of its failures in lexicographic order, swept by residue class as
+    ``scan`` describes."""
     d, r, eps, eps_p, bound, n1 = args
     lifts = [_lift_range(rho, n1, bound) for rho in range(n1)]
     counts = [len(xs) for xs in lifts]
     # when ceil(eps_prime n1) <= 1, model_V_mld_below is None for every class
     classify = eps_p.numerator * n1 > eps_p.denominator
-    total = lc = 0
-    singular: list[tuple[LatticeVector, Rat]] = []
+    total = lc = singular = fired = 0
+    failures: list[CertificateReport] = []
     for rho in itertools.product(range(n1), repeat=d - 1):
         if math.gcd(n1, *rho) != 1:
             continue
@@ -280,19 +266,19 @@ def _scan_n1(
         below = model_V_mld_below(d, (n1,) + rho, eps_p) if classify else None
         if below is None:
             lc += weight
-        else:
-            lifted = itertools.product((n1,), *(lifts[x] for x in rho))
-            singular.extend((n, below[0]) for n in lifted)
-    singular.sort()
-    reports = []
-    for n, value in singular:
-        _, is_lc, report = _scan_instance((d, r, eps, eps_p, n))
-        if is_lc:
-            raise InvariantViolation("a lift of a singular class classifies as eps_prime-lc")
-        if report.a != value:
-            raise InvariantViolation("a lift and its class have different mld values")
-        reports.append(report)
-    return total, lc, reports
+            continue
+        k, *m = below[1]
+        if k <= 0:
+            raise InvariantViolation("an mld minimizer below the threshold must be vertical")
+        singular += weight
+        if certify(d, r, eps, (n1,) + rho, below[1]).fires:
+            fired += weight
+            continue
+        for lift in itertools.product(*(lifts[x] for x in rho)):
+            moved = (k,) + tuple(mi + k * ((y - x) // n1) for mi, x, y in zip(m, rho, lift))
+            failures.append(certify(d, r, eps, (n1,) + lift, moved))
+    failures.sort(key=lambda rep: rep.n)
+    return total, lc, singular, fired, failures
 
 
 def scan(
@@ -310,17 +296,21 @@ def scan(
     #{x in [-bound, bound] : x = rho_i mod n_1}, read off a ``range``.
     The task counts the lifts of every class with gcd(n_1, rho) = 1 and
     classifies its representative (n_1,) + rho once: an eps_prime-lc
-    class adds its whole weight to ``epsilon_lc``; the lifts of a singular
-    class are sorted with those of the other singular classes and each is
-    classified and certified on its own by ``_scan_instance``.  No class is
-    classified when ceil(eps_prime n_1) <= 1, where ``model_V_mld_below``
-    visits no slice.  Joining the tasks in n_1 order gives the failures in
-    lexicographic order.
+    class adds its whole weight to ``epsilon_lc``, a singular one to
+    ``singular``, and to ``fired`` too when the certificate of its
+    representative and minimizer fires.  Only a class that does not fire
+    certifies its lifts, with the minimizer moved as in step 5, and sorts
+    these failures by n.  No class is classified when
+    ceil(eps_prime n_1) <= 1, where ``model_V_mld_below`` visits no slice.
+    Joining the tasks in n_1 order gives the failures in lexicographic
+    order.
 
     Lemma: for every thr > 0, whether ``model_V_mld_below(d, n, thr)`` is
     None, and its value when it is not, are the same for every lift
-    n = (n_1, rho + n_1 t) of a class.  Proof, with k, b, a_i and the box
-    points as in ``model_V_mld``:
+    n = (n_1, rho + n_1 t) of a class; for thr <= 1 the minimizer (k, m')
+    of the representative moves to (k, m' + k t) on the lift, and
+    ``certify`` gives every lift the same verdict.  Proof, with k, b, a_i
+    and the box points as in ``model_V_mld``:
     1. gcd(n_1, n') = gcd(n_1, n' mod n_1), so the lifts of a class are
        all primitive or all not.
     2. The b of ``_v_cones`` is integer-linear in n', so b mod n_1, each
@@ -334,16 +324,17 @@ def scan(
     The value is the least numerator below ceil(thr n_1) among these
     candidates, over n_1, or None when there is none; it is the same for
     every lift.  So no draw with thr > 1 breaks the lemma: the rays then
-    compete, but with the same numerator n_1 for every lift.  ``scan``
-    uses thr = eps_prime = eps/(3 d r) <= 1/6, where the rays never
-    compete.  The minimizer, a point, can depend on the lift, so every
-    lift of a singular class is still classified and certified.
-
-    Cross-checks kept at run time: a lift of a singular class that
-    classifies as eps_prime-lc, or whose report's a (the log discrepancy of
-    its minimizer, which ``certify`` computes apart) differs from its
-    class's value, raises ``InvariantViolation``; ``certify`` and
-    ``CertificateReport`` check every singular lift as before.
+    compete, but with the same numerator n_1 for every lift.
+    5. For thr <= 1 the rays never compete, so every candidate is a box
+       point, and those of slice k all move by k (0, t).  A translation
+       keeps the lexicographic order, and points of different slices
+       differ in their first coordinate k, which no lift moves; so the
+       (numerator, point) order is the same on every lift, and the lift's
+       minimizer is the class minimizer moved by k (0, t).
+    6. ``certify`` computes fires, lhs, rhs and bounds from n_1, l_1 and
+       g = n_1 l - l_1 n only.  Moving n by n_1 (0, t) and l by k (0, t),
+       with l_1 = k, leaves g unchanged, so they are the class's.
+    ``scan`` uses thr = eps_prime = eps/(3 d r) <= 1/6.
 
     ``jobs`` caps the worker processes (None: the usable CPUs).  The pool
     maps over the n_1 tasks and starts min(jobs, usable CPUs, bound)
@@ -366,18 +357,16 @@ def scan(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_n1, tasks))
 
-    reports = [rep for _, _, task_reports in results for rep in task_reports]
-    fired = sum(1 for rep in reports if rep.fires)
-    failures = tuple(rep for rep in reports if not rep.fires)
+    totals, lcs, singulars, fireds, failures = zip(*results)
     return ScanSummary(
         d=d,
         r=r,
         eps=eps,
         eps_prime=eps_p,
         bound=bound,
-        total=sum(total for total, _, _ in results),
-        epsilon_lc=sum(lc for _, lc, _ in results),
-        singular=len(reports),
-        fired=fired,
-        failures=failures,
+        total=sum(totals),
+        epsilon_lc=sum(lcs),
+        singular=sum(singulars),
+        fired=sum(fireds),
+        failures=tuple(itertools.chain.from_iterable(failures)),
     )

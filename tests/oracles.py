@@ -34,12 +34,11 @@ from typing import Any, Iterator, Sequence
 from sympy import Eq, symbols
 from sympy.solvers.simplex import lpmax
 
-from toricfib import serialize
+from toricfib import criterion, serialize
 from toricfib.criterion import (
     CertificateReport,
     ExplicitBounds,
     ScanSummary,
-    _scan_instance,
     epsilon_prime,
 )
 from toricfib.divisors import (
@@ -61,7 +60,7 @@ from toricfib.exactmath import (
     solve_in_basis,
 )
 from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
-from toricfib.models import DecompositionData, FibrationModel, decompose, model_V
+from toricfib.models import DecompositionData, FibrationModel, decompose, model_V, model_V_mld_below
 
 
 def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVector, tuple]]:
@@ -336,13 +335,29 @@ def primitive_family(d: int, bound: int) -> Iterator[LatticeVector]:
             yield n
 
 
+def scan_instance(
+    d: int, r: int, eps: Rat, eps_p: Rat, n: LatticeVector
+) -> tuple[LatticeVector, bool, CertificateReport | None]:
+    """One instance of ``box_scan``: n, whether it is eps_prime-lc, and,
+    when it is not, the certificate of n with its own mld minimizer as l.
+    ``certify`` is read through ``criterion`` so that a test patching it
+    reaches the oracle too."""
+    below = model_V_mld_below(d, n, eps_p)
+    if below is None:
+        return n, True, None
+    minimizer = below[1]
+    if minimizer[0] <= 0:
+        raise InvariantViolation("an mld minimizer below the threshold must be vertical")
+    return n, False, criterion.certify(d, r, eps, n, minimizer)
+
+
 def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
     """``criterion.scan`` one instance at a time: every n of
     ``primitive_family`` classified and, when singular, certified by
-    ``_scan_instance``, in lexicographic order."""
+    ``scan_instance``, in lexicographic order."""
     eps = Fraction(eps)
     eps_p = epsilon_prime(d, r, eps)
-    results = [_scan_instance((d, r, eps, eps_p, n)) for n in primitive_family(d, bound)]
+    results = [scan_instance(d, r, eps, eps_p, n) for n in primitive_family(d, bound)]
     reports = [rep for _, is_lc, rep in results if not is_lc]
     return ScanSummary(
         d=d,

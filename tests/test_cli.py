@@ -421,10 +421,12 @@ def test_certify_in_rejects_string_vectors(tmp_path, capsys, key, value):
 
 
 # stderr of `certify` on invalid flags, recorded before the closed form
-# replaced the fan route; every one exits 2 and writes nothing to stdout
+# replaced the fan route; every one exits 2 and writes nothing to stdout.
+# d is checked before the vectors are parsed, as with --in, so d = 1 with
+# vectors of length 2 reports d
 CERTIFY_FLAG_ERRORS = [
     ({"d": "1", "n": "5", "l": "1"}, "d must be an integer >= 2"),
-    ({"d": "1"}, "expected a vector of length 1, got 2"),
+    ({"d": "1"}, "d must be an integer >= 2"),
     ({"r": "0"}, "r must be an integer >= 1"),
     ({"eps": "0"}, "eps must lie in (0, 1]"),
     ({"eps": "3/2"}, "eps must lie in (0, 1]"),

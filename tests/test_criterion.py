@@ -18,13 +18,13 @@ from oracles import (
     fraction_decomposition_checks,
     fraction_report_checks,
     primitive_family,
+    scan_instance,
     verify_explicit_bounds,
 )
 
 from toricfib import criterion, divisors, fan, serialize
 from toricfib.criterion import (
     _lift_range,
-    _scan_instance,
     certify,
     epsilon_prime,
     scan,
@@ -259,7 +259,7 @@ class TestIntegerCertificate:
     )
     def test_scan_singular_instances_equal_the_fraction_form(self, d, r, eps, family, singular):
         eps_p = epsilon_prime(d, r, eps)
-        reports = [rep for _, is_lc, rep in (_scan_instance((d, r, eps, eps_p, n)) for n in family) if not is_lc]
+        reports = [rep for _, is_lc, rep in (scan_instance(d, r, eps, eps_p, n) for n in family) if not is_lc]
         assert len(reports) == singular
         for rep in reports:
             assert _same_as_fraction_form(d, r, eps, rep.n, rep.l) == rep
@@ -568,12 +568,12 @@ class TestScan:
         eps = Fraction(1, 3)
         eps_p = epsilon_prime(3, 2, eps)
         for n in [(109, 1, 1), (110, 1, 1), (150, 1, 1)]:
-            _, is_lc, report = _scan_instance((3, 2, eps, eps_p, n))
+            _, is_lc, report = scan_instance(3, 2, eps, eps_p, n)
             assert not is_lc
             assert report.a == Fraction(2, n[0])
             assert report.fires
             assert verify_explicit_bounds(report)
-        assert _scan_instance((3, 2, eps, eps_p, (113, 2, 1))) == ((113, 2, 1), True, None)
+        assert scan_instance(3, 2, eps, eps_p, (113, 2, 1)) == ((113, 2, 1), True, None)
 
     def test_d3_singular_sweep(self):
         # every primitive n with 109 <= n_1 <= 150 and |n_2|, |n_3| <= 1,
@@ -585,7 +585,7 @@ class TestScan:
             for n in itertools.product(range(109, 151), (-1, 0, 1), (-1, 0, 1))
             if is_primitive(n)
         ]
-        results = [_scan_instance((d, r, eps, eps_p, n)) for n in family]
+        results = [scan_instance(d, r, eps, eps_p, n) for n in family]
         reports = [report for _, is_lc, report in results if not is_lc]
         assert (len(results), len(reports)) == (336, 126)
         assert all(report.fires and verify_explicit_bounds(report) for report in reports)
@@ -669,16 +669,36 @@ class TestScanByResidueClass:
     def test_equals_the_box_scan(self, d, r, eps, bound, jobs):
         assert scan(d, r, eps, bound, jobs=jobs) == cached_box_scan(d, r, eps, bound)
 
-    def test_failures_in_lexicographic_order(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "d,r,eps,bound", [(2, 1, Fraction(1, 2), 40), (3, 1, Fraction(1), 24)], ids=["d2", "d3"]
+    )
+    def test_failures_in_lexicographic_order(self, monkeypatch, d, r, eps, bound):
         # certifying at eps = 1/1000 makes every singular instance a failure;
-        # the lifts of the classes of one n_1 interleave
+        # the lifts of the classes of one n_1 interleave, and at d = 3 each
+        # lift moves the class minimizer in two coordinates
         real = criterion.certify
         monkeypatch.setattr(
             criterion, "certify", lambda d, r, eps, n, l: real(d, r, Fraction(1, 1000), n, l)
         )
-        summary = scan(2, 1, Fraction(1, 2), 40, jobs=1)
+        summary = scan(d, r, eps, bound, jobs=1)
         assert len(summary.failures) == summary.singular > 0
-        assert summary == box_scan(2, 1, Fraction(1, 2), 40)
+        assert summary == box_scan(d, r, eps, bound)
+
+    def test_each_singular_class_is_certified_once(self, monkeypatch):
+        # scan(2, 1, 1/2, 40) has 112 singular instances in 40 classes, all
+        # firing; the lifts are neither classified nor certified
+        calls = []
+        for name in ("certify", "model_V_mld_below"):
+            original = getattr(criterion, name)
+
+            def counting(*args, original=original, name=name):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(criterion, name, counting)
+        summary = scan(2, 1, Fraction(1, 2), 40, jobs=1)
+        assert (summary.singular, summary.fired) == (112, 112)
+        assert (calls.count("certify"), calls.count("model_V_mld_below")) == (40, 444)
 
     def test_oracle_families_reach_the_singular_stratum(self):
         summary = cached_box_scan(3, 1, Fraction(1), 24)
@@ -702,14 +722,25 @@ class TestScanByResidueClass:
         thr = Fraction(rng.randint(*thr_range(q)), q)
         return d, n, lift, thr
 
-    @given(st.integers(0, 10 ** 6))
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
-    def test_lemma_lifts_share_the_class_verdict(self, seed):
+    def test_lemma_lifts_share_the_class_verdict(self, seed, r, p, q):
         # thr in (0, 1], where the rays never compete
         d, n, lift, thr = self._lift_pair(seed, lambda q: (1, q))
         below, lifted = model_V_mld_below(d, n, thr), model_V_mld_below(d, lift, thr)
         assert (below is None) == (lifted is None)
-        assert below is None or below[0] == lifted[0]
+        if below is None:
+            return
+        assert below[0] == lifted[0]
+        # step 5: the minimizer is vertical and moves by k (0, t)
+        (k, *m), n1 = below[1], n[0]
+        assert k > 0
+        assert lifted[1] == (k,) + tuple(mi + k * ((y - x) // n1) for mi, x, y in zip(m, n[1:], lift[1:]))
+        # step 6: the certificate keeps its verdict
+        eps = Fraction(min(p, q), max(p, q))
+        reports = certify(d, r, eps, n, below[1]), certify(d, r, eps, lift, lifted[1])
+        verdicts = [(rep.fires, rep.lhs, rep.rhs, rep.bounds) for rep in reports]
+        assert verdicts[0] == verdicts[1]
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -717,27 +748,3 @@ class TestScanByResidueClass:
         # thr in (1, 3]: the rays compete, with numerator n_1 on every lift
         d, n, lift, thr = self._lift_pair(seed, lambda q: (q + 1, 3 * q))
         assert model_V_mld_below(d, n, thr)[0] == model_V_mld_below(d, lift, thr)[0]
-
-    def test_a_lift_classified_lc_in_a_singular_class_raises(self, monkeypatch):
-        # the representative, with n' in [0, n_1), keeps its value; other lifts are lc
-        real = criterion.model_V_mld_below
-
-        def fake(d, n, thr):
-            return real(d, n, thr) if all(0 <= x < n[0] for x in n[1:]) else None
-
-        monkeypatch.setattr(criterion, "model_V_mld_below", fake)
-        with pytest.raises(InvariantViolation, match="eps_prime-lc"):
-            scan(2, 1, Fraction(1, 2), 26, jobs=1)
-
-    def test_a_class_value_its_lifts_do_not_share_raises(self, monkeypatch):
-        real = criterion.model_V_mld_below
-
-        def fake(d, n, thr):
-            below = real(d, n, thr)
-            if below is None or not all(0 <= x < n[0] for x in n[1:]):
-                return below
-            return below[0] + Fraction(1, n[0]), below[1]
-
-        monkeypatch.setattr(criterion, "model_V_mld_below", fake)
-        with pytest.raises(InvariantViolation, match="different mld values"):
-            scan(2, 1, Fraction(1, 2), 26, jobs=1)
