@@ -1,9 +1,10 @@
 """Command-line interface: every subcommand reads exact inputs and writes
 one deterministic JSON report to stdout.
 
-Exit codes: 0 success, 2 invalid input, 3 scan found a non-firing
-singular instance, 4 an internal invariant failed; the last writes one
-JSON error record carrying the arguments to stderr and nothing to stdout.
+Exit codes: 0 success, 2 invalid input, 3 the scan report lists a
+non-firing singular instance (``criterion.scan`` proves there is none),
+4 an internal invariant failed; the last writes one JSON error record
+carrying the arguments to stderr and nothing to stdout.
 Giving --in together with any of --d, --r, --eps, --n or --l is invalid
 input, and so is giving mld's --fan together with --fan-of-v, --d or --n.
 Vectors are comma-separated integers in the --n and --l flags and integer
@@ -121,6 +122,7 @@ def _cmd_mld(args: argparse.Namespace) -> int:
         if args.d is None or args.n is None:
             raise InputError("--fan-of-v needs --d and --n")
         d = args.d
+        _check_d(d)
         n = _flag_vector(args.n, d)
         if not is_primitive(n):
             raise InputError("n must be primitive")

@@ -7,16 +7,17 @@ extracted divisor D) with parameters r and eps, the certificate compares
 
 with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
-the threshold eps' = eps/(3 d r) a set of explicit bounds guarantees the
-strict inequality, and ``scan`` sweeps whole families checking exactly
-that.  It classifies by ``models.model_V_mld_below`` at eps', which visits
-only the box-point slices k < eps' n_1 of the V model, and it sweeps by
-residue class: whether n is eps'-lc, and its mld when it is not, depend on
-n only through n_1 and n' mod n_1 (a lemma proved in ``scan``), so each
-class is classified once and weighted by its number of lifts in the box.
-The lifts share the class's minimizer, moved, and its verdict, so a
-singular class is certified once, and only the lifts of a class that does
-not fire one by one.  No class with n_1 <= 1/eps' is classified at all.
+the threshold eps' = eps/(3 d r) a set of explicit bounds forces the
+strict inequality (the lemma of ``certify``), and ``scan`` sweeps whole
+families counting the instances below it.  It classifies by
+``models.model_V_mld_below`` at eps', which visits only the box-point
+slices k < eps' n_1 of the V model, and it sweeps by residue class:
+whether n is eps'-lc, and its mld when it is not, depend on n only
+through n_1 and n' mod n_1 (a lemma proved in ``scan``), so each class is
+classified once and weighted by its number of lifts in the box.  A
+singular class needs no certificate: its minimizer has a < eps', where
+the certificate always fires.  No class with n_1 <= 1/eps' is classified
+at all.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -58,7 +59,8 @@ from .models import DecompositionData, decompose, horizontal_rays, model_V_mld_b
 class ExplicitBounds:
     """The three bounds that force the certificate below the threshold:
     u is dominated by (r-1)a, every gamma*beta_k stays under 2a, and the
-    margin eps - r*a clears (r-1)(d-1)*2a strictly."""
+    margin eps - r*a clears (r-1)(d-1)*2a strictly.  ``certify`` proves
+    that they hold whenever a < eps_prime."""
 
     u_bounded: bool
     beta_terms_bounded: bool
@@ -167,15 +169,33 @@ def certify(
     ``_check_decompositions`` proves in integers that they are; no fan,
     subdivision or divisor is built.
 
-    The verdict and the bounds are integer comparisons.  With eps = p/q,
+    The verdict and the threshold are integer comparisons.  With eps = p/q,
     N = n_1 a = l_1 + sum(A) (``a_num``) and the B_k of
     ``_check_decompositions`` (see the module docstring), multiplying each
     side by q n_1 > 0 gives:
     - fires, lhs > rhs: p n_1 - q(N + (r - 1) sum(A)) > q (r - 1) sum(B);
-    - a < eps_prime = p/(3 d r q): 3 d r q N < p n_1;
+    - a < eps_prime = p/(3 d r q): 3 d r q N < p n_1.
+    The explicit bounds read, in the same way:
     - u <= (r - 1) a: (r - 1) sum(A) <= (r - 1) N;
     - gamma beta_k < 2a: B_k < 2N, for every k;
     - eps - r a > (r - 1)(d - 1) 2a: p n_1 - q r N > 2 q (r - 1)(d - 1) N.
+
+    Lemma: when a < eps_prime, all three bounds hold and the certificate
+    fires.  So ``bounds`` is all true there, with no comparison made, and
+    None above the threshold.  Proof: extend A and B by zeros to all of
+    H = (e_2, ..., e_d, c).  ``_check_decompositions`` proves
+    sum(A_j h_j) = g and sum(B_k h_k) = -g, and that B misses some h_m.
+    So sum((A_i + B_i) h_i) = 0, and since sum(h) = 0 is the only relation
+    among H, A + B = t (1, ..., 1).  As B >= 0 and B_m = 0,
+    t = A_m = max(A) <= sum(A) < N (l_1 > 0), and sum(A) + sum(B) = d t,
+    so fires reads q(N + (r - 1) d t) < p n_1 for every input.  Suppose
+    3 d r q N < p n_1.  Then:
+    - (r - 1) sum(A) <= (r - 1) N, as r >= 1;
+    - B_k = t - A_k <= t < N < 2N;
+    - p n_1 - q r N > q r N (3d - 1) > 2 q (r - 1)(d - 1) N, as
+      r (3d - 1) - 2 (r - 1)(d - 1) = d r + r + 2d - 2 > 0;
+    - fires: q(N + (r - 1) d t) <= q N (1 + (r - 1) d) <= 3 d r q N
+      < p n_1.
     """
     eps = ensure_rational(eps)
     nvec, lvec = lattice_vector(n), lattice_vector(l)
@@ -187,13 +207,7 @@ def certify(
     a_num = lvec[0] + alpha_total
     lhs_num = p * n1 - q * (a_num + (r - 1) * alpha_total)
     rhs_num = (r - 1) * sum(beta_nums)
-    bounds = None
-    if 3 * d * r * q * a_num < p * n1:
-        bounds = ExplicitBounds(
-            u_bounded=(r - 1) * alpha_total <= (r - 1) * a_num,
-            beta_terms_bounded=all(b < 2 * a_num for b in beta_nums),
-            margin_strict=p * n1 - q * r * a_num > 2 * q * (r - 1) * (d - 1) * a_num,
-        )
+    below = 3 * d * r * q * a_num < p * n1
     return CertificateReport(
         d=d,
         r=r,
@@ -210,7 +224,7 @@ def certify(
         lhs=Fraction(lhs_num, q * n1),
         rhs=Fraction(rhs_num, n1),
         fires=lhs_num > q * rhs_num,
-        bounds=bounds,
+        bounds=ExplicitBounds(True, True, True) if below else None,
     )
 
 
@@ -220,8 +234,9 @@ class ScanSummary:
     |n_i| <= bound.  Instances split into the eps_prime-lc class (fiber
     multiplicity bounded by the external boundedness theorem, nothing to
     certify) and the singular class, where the mld minimizer is taken as l
-    and the certificate must fire; any non-firing singular instance is a
-    failure and is returned in full."""
+    and the certificate fires by the lemma of ``certify``: ``scan`` reports
+    fired = singular and no failures.  ``failures`` holds the reports of
+    non-firing singular instances, and ``ok`` says there are none."""
 
     d: int
     r: int
@@ -244,20 +259,15 @@ def _lift_range(rho: int, n1: int, bound: int) -> range:
     return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
-def _scan_n1(
-    args: tuple[int, int, Rat, Rat, int, int],
-) -> tuple[int, int, int, int, list[CertificateReport]]:
-    """The count, the eps_prime-lc count, the singular and the fired counts
-    of the primitive n of the box with first coordinate n1, and the reports
-    of its failures in lexicographic order, swept by residue class as
-    ``scan`` describes."""
-    d, r, eps, eps_p, bound, n1 = args
-    lifts = [_lift_range(rho, n1, bound) for rho in range(n1)]
-    counts = [len(xs) for xs in lifts]
+def _scan_n1(args: tuple[int, Rat, int, int]) -> tuple[int, int, int]:
+    """The count, the eps_prime-lc count and the singular count of the
+    primitive n of the box with first coordinate n1, swept by residue class
+    as ``scan`` describes."""
+    d, eps_p, bound, n1 = args
+    counts = [len(_lift_range(rho, n1, bound)) for rho in range(n1)]
     # when ceil(eps_prime n1) <= 1, model_V_mld_below is None for every class
     classify = eps_p.numerator * n1 > eps_p.denominator
-    total = lc = singular = fired = 0
-    failures: list[CertificateReport] = []
+    total = lc = singular = 0
     for rho in itertools.product(range(n1), repeat=d - 1):
         if math.gcd(n1, *rho) != 1:
             continue
@@ -267,27 +277,21 @@ def _scan_n1(
         if below is None:
             lc += weight
             continue
-        k, *m = below[1]
-        if k <= 0:
+        if below[1][0] <= 0:
             raise InvariantViolation("an mld minimizer below the threshold must be vertical")
         singular += weight
-        if certify(d, r, eps, (n1,) + rho, below[1]).fires:
-            fired += weight
-            continue
-        for lift in itertools.product(*(lifts[x] for x in rho)):
-            moved = (k,) + tuple(mi + k * ((y - x) // n1) for mi, x, y in zip(m, rho, lift))
-            failures.append(certify(d, r, eps, (n1,) + lift, moved))
-    failures.sort(key=lambda rep: rep.n)
-    return total, lc, singular, fired, failures
+    return total, lc, singular
 
 
 def scan(
     d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
 ) -> ScanSummary:
     """Classify every primitive n with 0 < n_1 <= bound and |n_i| <= bound
-    and certify the singular ones, with the failures in lexicographic
-    order.  An n is eps_prime-lc when ``model_V_mld_below(d, n, eps_prime)``
-    finds no value below eps_prime; otherwise its minimizer is l.
+    and count the eps_prime-lc and the singular ones.  An n is
+    eps_prime-lc when ``model_V_mld_below(d, n, eps_prime)`` finds no value
+    below eps_prime; otherwise its minimizer is l, and the certificate of
+    (n, l) fires (step 5), so ``fired`` is ``singular`` and there are no
+    failures: no certificate is computed.
 
     The sweep runs by residue class, one task per n_1.  Write n = (n_1, n')
     and rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
@@ -297,20 +301,14 @@ def scan(
     The task counts the lifts of every class with gcd(n_1, rho) = 1 and
     classifies its representative (n_1,) + rho once: an eps_prime-lc
     class adds its whole weight to ``epsilon_lc``, a singular one to
-    ``singular``, and to ``fired`` too when the certificate of its
-    representative and minimizer fires.  Only a class that does not fire
-    certifies its lifts, with the minimizer moved as in step 5, and sorts
-    these failures by n.  No class is classified when
-    ceil(eps_prime n_1) <= 1, where ``model_V_mld_below`` visits no slice.
-    Joining the tasks in n_1 order gives the failures in lexicographic
-    order.
+    ``singular``.  No class is classified when ceil(eps_prime n_1) <= 1,
+    where ``model_V_mld_below`` visits no slice.
 
     Lemma: for every thr > 0, whether ``model_V_mld_below(d, n, thr)`` is
     None, and its value when it is not, are the same for every lift
-    n = (n_1, rho + n_1 t) of a class; for thr <= 1 the minimizer (k, m')
-    of the representative moves to (k, m' + k t) on the lift, and
-    ``certify`` gives every lift the same verdict.  Proof, with k, b, a_i
-    and the box points as in ``model_V_mld``:
+    n = (n_1, rho + n_1 t) of a class; for thr = eps_prime the
+    certificate of every singular n with its minimizer as l fires.  Proof,
+    with k, b, a_i and the box points as in ``model_V_mld``:
     1. gcd(n_1, n') = gcd(n_1, n' mod n_1), so the lifts of a class are
        all primitive or all not.
     2. The b of ``_v_cones`` is integer-linear in n', so b mod n_1, each
@@ -325,15 +323,12 @@ def scan(
     candidates, over n_1, or None when there is none; it is the same for
     every lift.  So no draw with thr > 1 breaks the lemma: the rays then
     compete, but with the same numerator n_1 for every lift.
-    5. For thr <= 1 the rays never compete, so every candidate is a box
-       point, and those of slice k all move by k (0, t).  A translation
-       keeps the lexicographic order, and points of different slices
-       differ in their first coordinate k, which no lift moves; so the
-       (numerator, point) order is the same on every lift, and the lift's
-       minimizer is the class minimizer moved by k (0, t).
-    6. ``certify`` computes fires, lhs, rhs and bounds from n_1, l_1 and
-       g = n_1 l - l_1 n only.  Moving n by n_1 (0, t) and l by k (0, t),
-       with l_1 = k, leaves g unchanged, so they are the class's.
+    5. By steps 1-4 a lift is singular exactly when its class is.  For
+       thr <= 1 the rays never compete, so the minimizer l of a singular n
+       is a primitive box point (k n + sum(a_i h_i))/n_1 of a slice
+       1 <= k < n_1: l is vertical, l != n, and its log discrepancy
+       (k + sum(a_i))/n_1, the value, is below thr.  For thr = eps_prime
+       the lemma of ``certify`` then makes the certificate of (n, l) fire.
     ``scan`` uses thr = eps_prime = eps/(3 d r) <= 1/6.
 
     ``jobs`` caps the worker processes (None: the usable CPUs).  The pool
@@ -344,7 +339,7 @@ def scan(
     eps_p = epsilon_prime(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
-    tasks = [(d, r, eps, eps_p, bound, n1) for n1 in range(1, bound + 1)]
+    tasks = [(d, eps_p, bound, n1) for n1 in range(1, bound + 1)]
     cpus = len(os.sched_getaffinity(0))
     if jobs is None:
         jobs = cpus
@@ -357,16 +352,16 @@ def scan(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_n1, tasks))
 
-    totals, lcs, singulars, fireds, failures = zip(*results)
+    total, lc, singular = map(sum, zip(*results))
     return ScanSummary(
         d=d,
         r=r,
         eps=eps,
         eps_prime=eps_p,
         bound=bound,
-        total=sum(totals),
-        epsilon_lc=sum(lcs),
-        singular=sum(singulars),
-        fired=sum(fireds),
-        failures=tuple(itertools.chain.from_iterable(failures)),
+        total=total,
+        epsilon_lc=lc,
+        singular=singular,
+        fired=singular,
+        failures=(),
     )

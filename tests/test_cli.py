@@ -108,7 +108,10 @@ def test_mld_fan_of_v_golden(capsys, n, mld, minimizer):
         (2, "0,1", "n must have positive first coordinate"),
         (2, "-1,2", "n must have positive first coordinate"),
         (3, "0,0,1", "n must have positive first coordinate"),
-        (1, "1", "models need ambient dimension >= 2"),
+        (1, "1", "d must be an integer >= 2"),
+        (1, "5,1", "d must be an integer >= 2"),
+        (1, "5", "d must be an integer >= 2"),
+        (0, "5", "d must be an integer >= 2"),
     ],
 )
 def test_mld_fan_of_v_rejects_bad_n(capsys, d, n, message):
