@@ -7,7 +7,6 @@ from .exactmath import (
     LatticeVector,
     Rat,
     RationalVector,
-    parallelepiped_points,
     primitive,
     solve_in_basis,
 )

@@ -59,7 +59,7 @@ def _check_d(d: Any) -> None:
         raise InputError("d must be an integer >= 2")
 
 
-def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
+def _instance_from_args(args: argparse.Namespace) -> tuple:
     required = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
     if args.infile:
         given = [flag for flag, value in required + (("--l", args.l),) if value is not None]
@@ -91,16 +91,15 @@ def _instance_from_args(args: argparse.Namespace, need_l: bool) -> tuple:
         raise InputError("eps must lie in (0, 1]")
     if not is_primitive(n):
         raise InputError("n must be primitive")
-    if need_l:
-        if l is None:
-            raise InputError("this command needs l (--l or the 'l' key)")
-        if not is_primitive(l):
-            raise InputError("l must be primitive")
+    if l is None:
+        raise InputError("this command needs l (--l or the 'l' key)")
+    if not is_primitive(l):
+        raise InputError("l must be primitive")
     return d, r, eps, n, l
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    d, r, eps, n, l = _instance_from_args(args, need_l=True)
+    d, r, eps, n, l = _instance_from_args(args)
     try:
         report = criterion.certify(d, r, eps, n, l)
     except ValueError as exc:

@@ -34,14 +34,10 @@ def lattice_vector(entries: Iterable[int]) -> LatticeVector:
 
 
 def rational_vector(entries: Iterable[int | Fraction]) -> RationalVector:
-    out = []
-    for e in entries:
-        if isinstance(e, float):
-            raise TypeError("floating point is not allowed; use Fraction")
-        out.append(Fraction(e))
-    if not out:
+    v = tuple(map(ensure_rational, entries))
+    if not v:
         raise ValueError("rational vectors must have dimension >= 1")
-    return tuple(out)
+    return v
 
 
 def ensure_rational(value: int | Fraction) -> Fraction:
@@ -76,23 +72,28 @@ def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(*lattice_vector(v)) == 1
 
 
-def _bareiss(rows: list[list[int]]) -> list[int]:
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) forward elimination of integer rows, in place.
 
-    Returns the pivot columns in order; the i-th pivot sits in row i, and
-    the rows below the last pivot are zero.  Each update divides by the
-    previous pivot; the division is exact because every entry is then a
-    minor of the pivot columns so far and its own column (Bareiss, *Math.
-    Comp.* 22, 1968).
+    Returns the pivot columns in order and the sign of the row swaps; the
+    i-th pivot sits in row i, and the rows below the last pivot are zero.
+    Each update divides by the previous pivot; the division is exact
+    because every entry is then a minor of the pivot columns so far and
+    its own column (Bareiss, *Math. Comp.* 22, 1968).  So when the first
+    i columns are all pivots, the i-th pivot is the leading i x i minor of
+    the rows as swapped.
     """
     pivots: list[int] = []
+    sign = 1
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            sign = -sign
         pivot_row = rows[r]
         p = pivot_row[c]
         for i in range(r + 1, len(rows)):
@@ -100,12 +101,12 @@ def _bareiss(rows: list[list[int]]) -> list[int]:
             rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
         pivots.append(c)
-    return pivots
+    return pivots, sign
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank of integer vectors: the number of Bareiss pivots."""
-    return len(_bareiss([list(lattice_vector(v)) for v in vectors]))
+    return len(_bareiss([list(lattice_vector(v)) for v in vectors])[0])
 
 
 def solve_in_basis(
@@ -137,7 +138,7 @@ def solve_in_basis(
     k = len(gens)
     scale = math.lcm(*(t.denominator for t in tgt))
     rows = [[g[i] for g in gens] + [int(tgt[i] * scale)] for i in range(d)]
-    pivots = _bareiss(rows)
+    pivots, _ = _bareiss(rows)
     if pivots[:k] != list(range(k)):
         raise ValueError("generators not independent")
     if len(pivots) > k:
@@ -151,29 +152,15 @@ def solve_in_basis(
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [[int(e) for e in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    """Determinant of a square integer matrix: by ``_bareiss``, the last
+    pivot times the sign of the row swaps, or 0 when a column has no
+    pivot."""
+    rows = [[int(e) for e in row] for row in matrix]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _bareiss(rows)
+    return sign * rows[-1][-1] if len(pivots) == n else 0
 
 
 def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
@@ -289,22 +276,6 @@ def smith_normal_form(
             continue
         t += 1
     return u, a, v
-
-
-def sublattice_index(vectors: Sequence[Sequence[int]]) -> int:
-    """Index of the sublattice spanned by ``vectors`` inside the saturation
-    of their rational span; ValueError when the vectors are dependent."""
-    vecs = [lattice_vector(vt) for vt in vectors]
-    d = len(vecs[0])
-    k = len(vecs)
-    if k > d:
-        raise ValueError("generators not independent")
-    columns = [[g[i] for g in vecs] for i in range(d)]
-    _, dg, _ = smith_normal_form(columns)
-    diag = [dg[i][i] for i in range(k)]
-    if any(x == 0 for x in diag):
-        raise ValueError("generators not independent")
-    return math.prod(diag)
 
 
 def parallelepiped_points(

@@ -58,7 +58,6 @@ from .exactmath import (
     rank,
     rational_vector,
     solve_in_basis,
-    sublattice_index,
 )
 
 
@@ -200,8 +199,17 @@ class Cone:
 
 def multiplicity(cone: Cone) -> int:
     """Index of the ray-generated sublattice in the saturation of its span;
-    1 exactly when the cone is smooth."""
-    return sublattice_index(cone.rays)
+    1 exactly when the cone is smooth.
+
+    It is the gcd of the maximal minors of the ray matrix: for k
+    independent rays that gcd is the product of the Smith invariant
+    factors of the matrix, since unimodular row and column operations keep
+    the gcd of its k x k minors, and that product is the index.  A
+    full-dimensional cone has one maximal minor, so its multiplicity is
+    |det|.
+    """
+    columns = itertools.combinations(range(cone.ambient_dim), cone.dim)
+    return math.gcd(*(det([[ray[c] for c in cs] for ray in cone.rays]) for cs in columns))
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:

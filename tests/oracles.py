@@ -12,6 +12,9 @@ V and W fans instead of the closed form, and glues them in Fractions.
 The scan oracle classifies and certifies every primitive n of the box one
 at a time instead of once per residue class.  The cofactor adjugate takes
 n^2 determinants where ``exactmath.inverse`` runs one elimination.  The
+sublattice index, the oracle of ``fan.multiplicity``, is the product of
+the Smith invariant factors where ``multiplicity`` takes the gcd of the
+maximal minors.  The
 Fraction certificate runs the tail of ``criterion.certify`` and the checks
 of ``DecompositionData`` and ``CertificateReport`` by Fraction arithmetic,
 where the package compares integers.  The generic encoder walks each
@@ -57,6 +60,7 @@ from toricfib.exactmath import (
     lattice_vector,
     parallelepiped_points,
     primitive,
+    smith_normal_form,
     solve_in_basis,
 )
 from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
@@ -97,6 +101,24 @@ def adjugate(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
             ]
             adj[j][i] = (-1) ** (i + j) * det(minor)
     return adj
+
+
+def sublattice_index(vectors: Sequence[Sequence[int]]) -> int:
+    """Index of the sublattice spanned by ``vectors`` inside the saturation
+    of their rational span, as the product of the Smith invariant factors
+    of the matrix whose columns they are; ValueError when the vectors are
+    dependent."""
+    vecs = [lattice_vector(vt) for vt in vectors]
+    d = len(vecs[0])
+    k = len(vecs)
+    if k > d:
+        raise ValueError("generators not independent")
+    columns = [[g[i] for g in vecs] for i in range(d)]
+    _, dg, _ = smith_normal_form(columns)
+    diag = [dg[i][i] for i in range(k)]
+    if any(x == 0 for x in diag):
+        raise ValueError("generators not independent")
+    return math.prod(diag)
 
 
 class _ConeEvaluator:

@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from toricfib import cli, criterion, models, serialize, surface
+from toricfib import cli, criterion, exactmath, models, serialize, surface
 from toricfib.exactmath import InvariantViolation
 
 CERTIFY = ["certify", "--d", "2", "--r", "1", "--eps", "1/2", "--n", "5,1", "--l", "1,0"]
@@ -483,3 +484,42 @@ def test_certify_in_checks_d_before_the_vectors(tmp_path, capsys, d, n):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: d must be an integer >= 2\n"
+
+
+def _no_smith_normal_form(*args, **kwargs):
+    raise AssertionError("a CLI command ran a Smith normal form")
+
+
+SMITH_FREE_RUNS = (
+    [(["certify"] + flags, _golden(doc, CERTIFICATE_LEGEND), None) for flags, doc in CERTIFY_GOLDENS]
+    + [(["mld", "--fan"], _golden(doc, MLD_LEGEND), fan) for fan, doc in MLD_FAN_GOLDENS]
+    + [
+        (["mld", "--fan-of-v", "--d", str(n.count(",") + 1), f"--n={n}"], _mld_text(n, mld, minimizer), None)
+        for n, mld, minimizer in MLD_FAN_OF_V_CASES
+    ]
+    + [
+        (["example", "--n", str(n), "--r", str(r), "--eps", eps], EXAMPLE_REPORT % (a, eps, fires, n, pairing, r), None)
+        for n, r, eps, a, fires, pairing in EXAMPLE_CASES
+    ]
+    + [(SCAN_D2 + ["--jobs", "1"], _golden(SCAN_D2_DOC, SCAN_LEGEND), None)]
+)
+
+
+@pytest.mark.parametrize(
+    "argv,text,fan", SMITH_FREE_RUNS, ids=[f"{argv[0]}{argv[1]}-{i}" for i, (argv, _, _) in enumerate(SMITH_FREE_RUNS)]
+)
+def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv, text, fan):
+    original = exactmath.smith_normal_form
+    for name, module in list(sys.modules.items()):
+        if name == "toricfib" or name.startswith("toricfib."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, _no_smith_normal_form)
+    if fan is not None:
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(fan))
+        argv = argv + [str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == text
+    assert err == ""

@@ -60,9 +60,12 @@ SINGULAR_SLICE = [
 ]
 
 
-def random_vertical(rng, d, top):
+def random_vertical(rng, d, top, tail=None):
+    """A primitive n with n_1 in [1, top] and the rest in [-tail, tail];
+    tail defaults to top."""
+    tail = top if tail is None else tail
     while True:
-        vec = (rng.randint(1, top),) + tuple(rng.randint(-top, top) for _ in range(d - 1))
+        vec = (rng.randint(1, top),) + tuple(rng.randint(-tail, tail) for _ in range(d - 1))
         if is_primitive(vec):
             return vec
 
@@ -271,9 +274,11 @@ class TestIntegerCertificate:
     def test_random_instances_equal_the_fraction_form(self, seed):
         rng = random.Random(seed)
         d = rng.randint(2, 4)
-        n = random_vertical(rng, d, rng.choice((3, 40, 400)))
-        # the mld minimizer reaches a < eps_prime; it is a ray when the mld is 1
-        l = model_V_mld(d, n)[1] if rng.random() < 0.5 else random_vertical(rng, d, rng.choice((1, 3, 40)))
+        # the mld minimizer reaches a < eps_prime, mostly when the tail of n
+        # is small against n_1; it is a ray when the mld is 1
+        minimizer = rng.random() < 0.5
+        n = random_vertical(rng, d, rng.choice((3, 40, 400)), 3 if minimizer else None)
+        l = model_V_mld(d, n)[1] if minimizer else random_vertical(rng, d, rng.choice((1, 3, 40)))
         if l[0] > 0 and n != l:
             eps = Fraction(rng.randint(1, 30), rng.randint(1, 30))
             eps = min(eps, 1 / eps)

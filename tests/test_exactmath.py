@@ -18,9 +18,8 @@ from toricfib.exactmath import (
     rank,
     smith_normal_form,
     solve_in_basis,
-    sublattice_index,
 )
-from oracles import adjugate, box_lattice_points
+from oracles import adjugate, box_lattice_points, sublattice_index
 
 nonzero_vectors = st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(
     lambda v: any(e != 0 for e in v)
@@ -194,6 +193,29 @@ class TestRank:
                 for v in vectors:
                     v[j] = t * v[j - 1]
         assert rank(vectors) == Matrix(vectors).rank()
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+class TestDet:
+    @given(square_matrices)
+    @example([[0]])
+    @example([[2, 3], [0, 0]])  # a zero row
+    @example([[1, 2, 3], [4, 5, 6], [1, 2, 3]])  # a repeated row
+    @example([[0, 1, 0], [2, 0, 1], [1, 1, 3]])  # a zero leading entry forces a swap
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # one swap, from the last row
+    @example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])  # two swaps
+    @settings(max_examples=300)
+    def test_matches_sympy(self, a):
+        assert det(a) == Matrix(a).det()
+
+    @pytest.mark.parametrize("a", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]])
+    def test_not_square_rejected(self, a):
+        with pytest.raises(ValueError, match="not square"):
+            det(a)
 
 
 class TestSmithNormalForm:

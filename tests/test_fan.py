@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfib import cli, divisors, exactmath, fan, serialize
-from toricfib.exactmath import InvariantViolation, det, parallelepiped_points, primitive, solve_in_basis
+from toricfib.exactmath import InvariantViolation, det, parallelepiped_points, primitive, rank, solve_in_basis
 from toricfib.fan import (
     Cone,
     Fan,
@@ -25,7 +25,7 @@ from toricfib.fan import (
     standard_fibration_fan,
     star_subdivide,
 )
-from oracles import lp_meet_in_common_face, support_contains
+from oracles import lp_meet_in_common_face, sublattice_index, support_contains
 
 
 def half_plane_chain(cones: int) -> list[Cone]:
@@ -135,6 +135,22 @@ class TestMultiplicity:
 
     def test_lower_dimensional(self):
         assert multiplicity(Cone(((0, 2, 1), (0, 0, 1)), 3)) == 2
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 4) for k in range(1, d + 1)])
+    @given(seed=st.integers(0, 10 ** 6))
+    @settings(max_examples=30)
+    def test_matches_the_smith_normal_form_index(self, d, k, seed):
+        rng = random.Random(seed)
+        while True:
+            draws = [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(k)]
+            if all(any(v) for v in draws):
+                rays = {primitive(v) for v in draws}
+                if len(rays) == k and rank(list(rays)) == k:
+                    break
+        cone = Cone(tuple(rays), d)
+        assert multiplicity(cone) == sublattice_index(cone.rays)
+        if k == d:
+            assert multiplicity(cone) == abs(cone._inverse[1])
 
 
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
