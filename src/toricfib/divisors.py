@@ -13,6 +13,7 @@ witness returned here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -198,34 +199,56 @@ def _check_boundary(fan: Fan, boundary: ToricDivisor) -> None:
 @lru_cache(maxsize=16)
 def toric_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Rat, LatticeVector]:
     """Minimal log discrepancy over all primitive vectors in the support,
-    with the lexicographically smallest minimizer.
+    with a minimizer, computed in integers.
 
-    The search space per maximal cone is its rays plus the nonzero lattice
-    points of the half-open ray box: the discrepancy function is additive
-    under adding a ray generator, so box points dominate everything else.
-    Non-primitive box points are skipped because their primitive
-    representatives are box points of the same cone with smaller value.
+    The candidates are the rays and the primitive nonzero lattice points of
+    the half-open box of each maximal cone: the discrepancy function is
+    additive under adding a ray generator, whose weight is >= 0, so the
+    candidates attain the minimum.  Non-primitive box points are skipped
+    because their primitive representatives are box points of the same
+    cone with no larger value.  The minimizer returned is the smallest
+    candidate point of minimal value.  When every b < 1 it is also the
+    smallest minimizer among all primitive vectors of the support; a ray
+    with b = 1 has weight 0, and adding it to a minimizer gives another
+    minimizer that need not be a candidate.
+    ``Cone.box_points`` reads each box off the inverse the cone built at
+    construction, as integer numerators nums over D = |det|.
 
-    The box points come from ``Cone.box_points``, which reads them off the
-    inverse (adj, det) the cone built at construction.  With D = |det| and s
-    its sign, p -> s adj p mod D is injective on Z^d modulo the lattice the
-    rays span (adj p / det is integral exactly on that lattice), so the
-    numerators D c of the box points' coefficients c are exactly the
-    subgroup of (Z/D)^d generated by the columns of s adj (or of adj, the
-    same subgroup), of order D; it is enumerated by closure, with no Smith
-    normal form.  The weight 1 - b of each ray is taken once per fan.
+    The weights 1 - b of the rays are read once from the boundary's table.
+    With L the lcm of their denominators, W = L (1 - b) is an integer for
+    every ray, and W >= 0 as b <= 1.  A box point with coefficients nums / D
+    has log discrepancy sum(nums_i W_i) / (D L), and a ray has W / L, which
+    is W over D L with D = 1.  So every candidate is an integer score s over
+    a positive denominator D L, and since L is common to all of them,
+    s / (D L) < s' / (D' L) exactly when s D' < s' D: candidates of
+    different cones are compared by cross-multiplying the integers, and
+    tied values keep the smaller point, the (value, point) order of the
+    ``Fraction`` form.  Only the minimum becomes a ``Fraction``.
+
+    Primitivity is checked only for a candidate that beats the best so
+    far, which is primitive itself: the running minimum over the primitive
+    candidates replaces the best by x exactly when x is primitive and
+    beats it, and testing the two conditions in the other order changes
+    nothing.  The origin has gcd 0 and is never kept.
     """
     _check_boundary(fan, boundary)
-    weights = {ray: 1 - boundary.coefficient(ray) for ray in fan.rays}
-    candidates: list[tuple[Rat, LatticeVector]] = [(w, ray) for ray, w in weights.items()]
+    table = boundary._table
+    scale = math.lcm(*(b.denominator for b in table.values()))
+    weights = {ray: scale for ray in fan.rays}
+    for ray, b in table.items():
+        weights[ray] = scale - b.numerator * (scale // b.denominator)
+    best_score, best_point = min((w, ray) for ray, w in weights.items())
+    best_size = 1
+    mul = operator.mul
     for cone in fan.maximal_cones:
+        size, points = cone.box_points()
         cone_weights = [weights[r] for r in cone.rays]
-        for point, coeffs in cone.box_points():
-            if math.gcd(*point) != 1:  # the origin, or not primitive
-                continue
-            value = sum((c * w for c, w in zip(coeffs, cone_weights)), Fraction(0))
-            candidates.append((value, point))
-    return min(candidates)
+        for point, nums in points:
+            score = sum(map(mul, nums, cone_weights))
+            lhs, rhs = score * best_size, best_score * size
+            if (lhs < rhs or (lhs == rhs and point < best_point)) and math.gcd(*point) == 1:
+                best_score, best_size, best_point = score, size, point
+    return Fraction(best_score, best_size * scale), best_point
 
 
 @dataclass(frozen=True)

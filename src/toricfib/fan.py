@@ -71,7 +71,8 @@ class Cone:
     (``exactmath.inverse``).  A nonzero determinant is its independence
     check, and ``coefficients``, ``functional``, ``contains``,
     ``facet_normals``, ``box_points`` and the wall check of ``Fan`` all
-    read that inverse.  A lower-dimensional cone checks its rays by
+    read that inverse; ``box_points`` gives the box as integer numerators
+    over |det|, unsorted.  A lower-dimensional cone checks its rays by
     ``rank`` and solves in their span.
     """
 
@@ -148,22 +149,24 @@ class Cone:
         sign = 1 if base > 0 else -1
         return tuple(primitive(tuple(sign * a for a in row)) for row in adj)
 
-    def box_points(self) -> list[tuple[LatticeVector, RationalVector]]:
-        """The lattice points of the half-open box of a full-dimensional
-        cone, each with its coefficients on the rays, sorted by point:
-        exactly ``exactmath.parallelepiped_points(self.rays)``, read off the
-        inverse instead of a Smith normal form.
+    def box_points(self) -> tuple[int, list[tuple[LatticeVector, tuple[int, ...]]]]:
+        """(D, points) for a full-dimensional cone: D = |det| of the ray
+        matrix and, for each lattice point of the half-open box, the pair
+        (point, nums) where nums / D are its coefficients on the rays.  The
+        numerators are integers in [0, D), in no particular order; as a set
+        the points are exactly ``exactmath.parallelepiped_points(self.rays)``,
+        read off the inverse instead of a Smith normal form.
 
-        Let A be the ray matrix, D = |det A| and s its sign.  The map
+        Let A be the ray matrix and s the sign of det A.  The map
         p -> s adj(A) p mod D from Z^d to (Z/D)^d has kernel A Z^d, since
         s adj(A) p / D = A^-1 p is integral exactly for p in A Z^d.  So it
         embeds Z^d / A Z^d, a group of order D, in (Z/D)^d, and its image is
         the subgroup generated by the columns of s adj(A) mod D, which is
         the one the columns of adj(A) generate, whatever s.  Each coset has
-        exactly one point in the box, A c with c = nums / D for its image
-        nums (entries in [0, D)), which is therefore integral.  The subgroup
-        is enumerated by closure under adding the generators; its order and
-        the integrality of every A nums / D are checked.
+        exactly one point in the box, A nums / D for its image nums, which
+        is therefore integral.  The subgroup is enumerated by closure under
+        adding the generators; its order and the integrality of every
+        A nums / D are checked.
         """
         adj, base = self._full_inverse()
         size = abs(base)
@@ -183,7 +186,6 @@ class Cone:
         if len(group) != size:
             raise InvariantViolation("box numerators do not form a group of order |det|")
         rows = list(zip(*self.rays))
-        fractions = [Fraction(n, size) for n in range(size)]
         points = []
         for nums in group:
             point = []
@@ -192,9 +194,8 @@ class Cone:
                 if rem:
                     raise InvariantViolation("box coset representative is not a lattice point")
                 point.append(q)
-            points.append((tuple(point), tuple(fractions[n] for n in nums)))
-        points.sort(key=lambda item: item[0])
-        return points
+            points.append((tuple(point), nums))
+        return size, points
 
 
 def multiplicity(cone: Cone) -> int:

@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they validate: box enumeration
 scans an integer bounding box instead of solving congruences, the mld
-oracle scans a bounding cube instead of reducing to box points, and the
+oracle scans a bounding cube instead of reducing to box points, the
+Fraction mld sums Fraction coefficients from the Smith normal form where
+``toric_mld`` scores integer numerators over |det|, and the
 fiber-multiplicity oracle re-derives coefficients by resolving until the
 relevant cones are smooth and pulling back step by step.  The
 face-compatibility oracle solves a linear program over the rationals with
@@ -23,15 +25,18 @@ plan.
 
 The fiber divisor and multiplicity, the eps-lc predicate and the check of
 a report's explicit bounds feed no result of the package and live here,
-where the tests still read them.
+where the tests still read them, as do the inputs several test files
+share: the benchmark's user-fan pool and random full-dimensional cones.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from dataclasses import fields, is_dataclass
 from itertools import product
+from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from sympy import Eq, symbols
@@ -65,6 +70,30 @@ from toricfib.exactmath import (
 )
 from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
 from toricfib.models import DecompositionData, FibrationModel, decompose, model_V, model_V_mld_below
+
+
+# The mld-userfan pool of the benchmark: 300 user fans in dimension 3,
+# read only.
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
+
+
+def pool_fan_doc(entry: dict) -> dict:
+    """The fan document of a pool entry, in the form ``fan_from_dict`` reads."""
+    return {
+        "ambient_dim": len(entry["rays"][0]),
+        "maximal_cones": [[entry["rays"][i] for i in cone] for cone in entry["cones"]],
+    }
+
+
+def random_full_cone(rng: random.Random, d: int, bound: int = 5) -> Cone:
+    """A full-dimensional cone on d primitive rays drawn from [-bound, bound]^d."""
+    while True:
+        draws = [tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(d)]
+        if all(any(v) for v in draws):
+            try:
+                return Cone(tuple(primitive(v) for v in draws), d)
+            except ValueError:
+                continue
 
 
 def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVector, tuple]]:
@@ -174,6 +203,24 @@ def brute_force_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Fraction, Lattice
             break
     assert best is not None
     return best
+
+
+def fraction_toric_mld(fan: Fan, boundary: ToricDivisor) -> tuple[Fraction, LatticeVector]:
+    """``divisors.toric_mld`` in Fractions: every box point of every cone,
+    from the Smith normal form, with its Fraction coefficients, summed
+    against the Fraction weights 1 - b read through ``coefficient``, and
+    the minimum of the (value, point) pairs over the rays and the primitive
+    box points."""
+    weights = {ray: 1 - boundary.coefficient(ray) for ray in fan.rays}
+    candidates: list[tuple[Fraction, LatticeVector]] = [(w, ray) for ray, w in weights.items()]
+    for cone in fan.maximal_cones:
+        cone_weights = [weights[r] for r in cone.rays]
+        for point, coeffs in parallelepiped_points(cone.rays):
+            if math.gcd(*point) != 1:  # the origin, or not primitive
+                continue
+            value = sum((c * w for c, w in zip(coeffs, cone_weights)), Fraction(0))
+            candidates.append((value, point))
+    return min(candidates)
 
 
 def fiber_divisor(fan: Fan) -> ToricDivisor:

@@ -1,9 +1,14 @@
+import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricfib import divisors
+from toricfib import divisors, serialize
 from toricfib.divisors import (
     Subdivision,
     ToricDivisor,
@@ -18,10 +23,20 @@ from toricfib.divisors import (
     toric_mld,
     zero_divisor,
 )
-from toricfib.exactmath import InvariantViolation, dot
+from toricfib.exactmath import InvariantViolation, dot, primitive
 from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan, star_subdivide
 from toricfib.models import model_V
-from oracles import brute_force_mld, fiber_divisor, fiber_multiplicity, is_epsilon_lc, support_contains
+from oracles import (
+    POOL,
+    brute_force_mld,
+    fiber_divisor,
+    fiber_multiplicity,
+    fraction_toric_mld,
+    is_epsilon_lc,
+    pool_fan_doc,
+    random_full_cone,
+    support_contains,
+)
 
 
 def skew_model_fan(n: int) -> Fan:
@@ -181,14 +196,116 @@ class TestToricMld:
         boundary = ToricDivisor.make(fan, {(0, 1): Fraction(1, 2), (0, -1): Fraction(1, 3)})
         assert toric_mld(fan, boundary) == brute_force_mld(fan, boundary)
 
+    def test_mixed_denominators(self):
+        # denominators 2, 3 and 5 and a negative coefficient: the weights
+        # are scaled by 30
+        fan = skew_model_fan(4)
+        coefficients = {(0, 1): Fraction(1, 2), (0, -1): Fraction(-2, 3), (4, 1): Fraction(3, 5)}
+        boundary = ToricDivisor.make(fan, coefficients)
+        assert toric_mld(fan, boundary) == brute_force_mld(fan, boundary)
+        assert toric_mld(fan, boundary) == fraction_toric_mld(fan, boundary)
+
     def test_non_primitive_box_points_are_skipped(self):
         # with boundary coefficient 1 at both rays every candidate has
         # value 0, and the box point (-5, 5) = 5 (-1, 1) would be the
         # smallest candidate if non-primitive points were kept
         fan = Fan(2, (Cone(((-3, 2), (-3, 4))),))
-        assert (-5, 5) in [point for point, _ in fan.maximal_cones[0].box_points()]
+        _, points = fan.maximal_cones[0].box_points()
+        assert (-5, 5) in [point for point, _ in points]
         boundary = ToricDivisor.make(fan, {(-3, 2): 1, (-3, 4): 1})
         assert toric_mld(fan, boundary) == (0, (-3, 2))
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_fraction_form(self, seed, d):
+        rng = random.Random(seed)
+        fan = random_star_fan(rng, d, 5)
+        boundary = random_boundary(rng, fan)
+        assert toric_mld(fan, boundary) == fraction_toric_mld(fan, boundary)
+
+    @given(st.integers(0, 10 ** 6), st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_brute_force(self, seed, d):
+        # adding a ray of weight 0 to a minimizer keeps its value, so the
+        # cube of the brute force may hold a smaller tied point that is no
+        # candidate; only the values are compared then
+        rng = random.Random(seed)
+        fan = random_star_fan(rng, d, 3 if d == 2 else 1)
+        boundary = random_boundary(rng, fan)
+        value, minimizer = toric_mld(fan, boundary)
+        expected_value, expected_minimizer = brute_force_mld(fan, boundary)
+        assert value == expected_value
+        if all(c != 1 for _, c in boundary.entries):
+            assert minimizer == expected_minimizer
+
+    def test_pool_fans_equal_the_fraction_form(self):
+        rng = random.Random(19)
+        for entry in json.loads(POOL.read_text())["fans"]:
+            fan = serialize.fan_from_dict(pool_fan_doc(entry))
+            for boundary in (zero_divisor(fan), random_boundary(rng, fan)):
+                assert toric_mld(fan, boundary) == fraction_toric_mld(fan, boundary)
+
+    @pytest.mark.parametrize("with_boundary", [False, True])
+    def test_does_no_fraction_arithmetic_per_box_point(self, monkeypatch, with_boundary):
+        fan = model_V(3, (109, 1, 1)).fan
+        points = sum(len(cone.box_points()[1]) for cone in fan.maximal_cones)
+        assert points >= 109 * len(fan.maximal_cones) > 40 * len(fan.rays)
+        boundary = zero_divisor(fan)
+        if with_boundary:
+            boundary = ToricDivisor.make(
+                fan, dict(zip(fan.rays, (Fraction(1, 2), Fraction(-2, 3), 1, Fraction(3, 7))))
+            )
+        calls = Counter()
+        arithmetic = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                      "__truediv__", "__lt__", "__le__", "__gt__", "__ge__", "__eq__")
+        for name in ("__new__",) + arithmetic:
+            original = getattr(Fraction, name)
+
+            def counting(*args, original=original, name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        divisors.toric_mld.cache_clear()
+        result = toric_mld(fan, boundary)
+        monkeypatch.undo()
+        assert result == fraction_toric_mld(fan, boundary)
+        assert type(result[0]) is Fraction
+        assert calls["__new__"] == 1  # the minimum, and no other Fraction
+        # the boundary check compares each coefficient with 1, once per ray
+        assert sum(calls[name] for name in arithmetic) == calls["__gt__"] == len(boundary.entries)
+
+
+def random_star_fan(rng: random.Random, d: int, bound: int) -> Fan:
+    """A random simplicial fan: some of the 2^d cones on the rays of a
+    random full-dimensional cone and their negatives, star subdivided at a
+    primitive vector of one of them half of the time."""
+    rays = random_full_cone(rng, d, bound).rays
+    signs = [s for s in itertools.product((1, -1), repeat=d) if rng.random() < 0.5] or [(1,) * d]
+    fan = Fan(d, tuple(
+        Cone(tuple(tuple(sign * x for x in ray) for sign, ray in zip(s, rays)), d) for s in signs
+    ))
+    if rng.random() < 0.5:
+        cone = rng.choice(fan.maximal_cones)
+        weights = [rng.randint(0, 2) for _ in cone.rays]
+        v = tuple(sum(w * ray[i] for w, ray in zip(weights, cone.rays)) for i in range(d))
+        if any(v) and primitive(v) not in fan.ray_set:
+            fan = star_subdivide(fan, primitive(v))
+    return fan
+
+
+def random_boundary(rng: random.Random, fan: Fan) -> ToricDivisor:
+    """Coefficients <= 1 on the rays: 0, 1 (weight 0), and fractions with
+    denominators up to 7, negative ones included."""
+    coefficients = {}
+    for ray in fan.rays:
+        kind = rng.random()
+        if kind < 0.2:
+            coefficients[ray] = 1
+        elif kind < 0.7:
+            den = rng.randint(1, 7)
+            coefficients[ray] = Fraction(rng.randint(-2 * den, den), den)
+    return ToricDivisor.make(fan, coefficients)
 
 
 class TestEpsilonLc:

@@ -3,7 +3,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,14 @@ from toricfib.fan import (
     standard_fibration_fan,
     star_subdivide,
 )
-from oracles import lp_meet_in_common_face, sublattice_index, support_contains
+from oracles import (
+    POOL,
+    lp_meet_in_common_face,
+    pool_fan_doc,
+    random_full_cone,
+    sublattice_index,
+    support_contains,
+)
 
 
 def half_plane_chain(cones: int) -> list[Cone]:
@@ -153,37 +159,22 @@ class TestMultiplicity:
             assert multiplicity(cone) == abs(cone._inverse[1])
 
 
-POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
-
-
-def random_full_cone(rng: random.Random, d: int) -> Cone:
-    while True:
-        draws = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d)]
-        if all(any(v) for v in draws):
-            try:
-                return Cone(tuple(primitive(v) for v in draws), d)
-            except ValueError:
-                continue
-
-
-def pool_fan_doc(entry: dict) -> dict:
-    return {
-        "ambient_dim": len(entry["rays"][0]),
-        "maximal_cones": [[entry["rays"][i] for i in cone] for cone in entry["cones"]],
-    }
-
-
 class TestConeInverse:
     @given(st.integers(0, 10 ** 6), st.integers(1, 4))
     @settings(max_examples=120)
     def test_box_points_match_smith_normal_form(self, seed, d):
         cone = random_full_cone(random.Random(seed), d)
-        assert cone.box_points() == parallelepiped_points(cone.rays)
+        size, points = cone.box_points()
+        assert size == abs(cone._inverse[1])
+        as_fractions = sorted((pt, tuple(Fraction(n, size) for n in nums)) for pt, nums in points)
+        assert as_fractions == parallelepiped_points(cone.rays)
 
     def test_box_points_of_a_skew_cone(self):
         cone = Cone(((4, 1), (0, -1)))
-        assert [p for p, _ in cone.box_points()] == [(0, 0), (1, 0), (2, 0), (3, 0)]
-        assert Cone(((1, 0), (0, 1))).box_points() == [((0, 0), (0, 0))]
+        size, points = cone.box_points()
+        assert size == 4
+        assert sorted(points) == [((0, 0), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (2, 2)), ((3, 0), (3, 3))]
+        assert Cone(((1, 0), (0, 1))).box_points() == (1, [((0, 0), (0, 0))])
 
     def test_lower_dimensional_cone_has_no_box(self):
         with pytest.raises(ValueError, match="not full dimensional"):

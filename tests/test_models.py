@@ -3,9 +3,14 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import fan_decomposition, primitive_family, support_contains
+from oracles import (
+    brute_force_mld,
+    fan_decomposition,
+    primitive_family,
+    support_contains,
+)
 
 from toricfib import models
 from toricfib.divisors import toric_mld, zero_divisor
@@ -107,6 +112,14 @@ class TestModelVMld:
         assert value == expected_value
         assert minimizer == expected_minimizer
         assert value >= Fraction(1, n[0])
+
+    @given(st.integers(1, 8), st.integers(-8, 8), st.integers(-8, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_d3_matches_the_brute_force(self, n1, n2, n3):
+        n = (n1, n2, n3)
+        assume(is_primitive(n))
+        fan = model_V(3, n).fan
+        assert model_V_mld(3, n) == toric_mld(fan, zero_divisor(fan)) == brute_force_mld(fan, zero_divisor(fan))
 
     @pytest.mark.parametrize("n", [(1, 0, 0), (5, 2, -3), (12, 7, 1), (6, -1, 4, 9)])
     def test_one_box_point_per_cone_and_slice(self, n):
