@@ -1,15 +1,17 @@
 """Command-line interface: every subcommand reads exact inputs and writes
 one deterministic JSON report to stdout.
 
-Exit codes: 0 success, 2 invalid input, 3 the scan report lists a
-non-firing singular instance (``criterion.scan`` proves there is none),
-4 an internal invariant failed; the last writes one JSON error record
-carrying the arguments to stderr and nothing to stdout.
-Giving --in together with any of --d, --r, --eps, --n or --l is invalid
-input, and so is giving mld's --fan together with --fan-of-v, --d or --n.
-Vectors are comma-separated integers in the --n and --l flags and integer
-arrays in JSON files (--in instances, --fan rays).  scan --jobs N starts
-at most min(N, usable CPUs, values of n_1) worker processes, and runs in
+Exit codes: 0 success, 2 invalid input (one line ``error: <message>`` on
+stderr), 4 an internal invariant failed (one JSON error record carrying
+the arguments on stderr); the last two write nothing to stdout.
+The CLI only parses flags and files.  Vectors, comma-separated integers
+in --n and --l and integer arrays in JSON files (--in instances, --fan
+rays), must have length d, which is checked first.  Giving --in with any
+of --d, --r, --eps, --n or --l is invalid input, and so is mld's --fan
+with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
+Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
+library's, and its ``ValueError`` is exit 2.  scan --jobs N starts at
+most min(N, usable CPUs, values of n_1) worker processes, and runs in
 this process when that is 1.
 """
 
@@ -22,13 +24,12 @@ from typing import Any, Mapping, Sequence
 
 from . import criterion, serialize, surface
 from .divisors import toric_mld, zero_divisor
-from .exactmath import InvariantViolation, is_primitive
+from .exactmath import InvariantViolation
 from .models import model_V_mld
 from .serialize import InputError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_SCAN_FAILURE = 3
 EXIT_INTERNAL = 4
 
 
@@ -60,9 +61,9 @@ def _check_d(d: Any) -> None:
 
 
 def _instance_from_args(args: argparse.Namespace) -> tuple:
-    required = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n))
+    flags = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n), ("--l", args.l))
     if args.infile:
-        given = [flag for flag, value in required + (("--l", args.l),) if value is not None]
+        given = [flag for flag, value in flags if value is not None]
         if given:
             raise InputError(f"--in cannot be combined with {', '.join(given)}")
         doc = _load_json(args.infile)
@@ -72,38 +73,20 @@ def _instance_from_args(args: argparse.Namespace) -> tuple:
             eps = serialize.parse_rational(doc["eps"])
             _check_d(d)
             n = serialize.parse_vector(doc["n"], d)
+            l = serialize.parse_vector(doc["l"], d)
         except KeyError as exc:
             raise InputError(f"instance file is missing key {exc}") from None
-        l = serialize.parse_vector(doc["l"], len(n)) if doc.get("l") is not None else None
-    else:
-        missing = [flag for flag, value in required if value is None]
-        if missing:
-            raise InputError(f"missing {', '.join(missing)} (or provide --in)")
-        d = args.d
-        r = args.r
-        eps = serialize.parse_rational(args.eps)
-        _check_d(d)
-        n = _flag_vector(args.n, d)
-        l = _flag_vector(args.l, d) if args.l is not None else None
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-        raise InputError("r must be an integer >= 1")
-    if not 0 < eps <= 1:
-        raise InputError("eps must lie in (0, 1]")
-    if not is_primitive(n):
-        raise InputError("n must be primitive")
-    if l is None:
-        raise InputError("this command needs l (--l or the 'l' key)")
-    if not is_primitive(l):
-        raise InputError("l must be primitive")
-    return d, r, eps, n, l
+        return d, r, eps, n, l
+    missing = [flag for flag, value in flags if value is None]
+    if missing:
+        raise InputError(f"missing {', '.join(missing)} (or provide --in)")
+    eps = serialize.parse_rational(args.eps)
+    _check_d(args.d)
+    return args.d, args.r, eps, _flag_vector(args.n, args.d), _flag_vector(args.l, args.d)
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    d, r, eps, n, l = _instance_from_args(args)
-    try:
-        report = criterion.certify(d, r, eps, n, l)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = criterion.certify(*_instance_from_args(args))
     sys.stdout.write(serialize.dumps(serialize.certificate_to_dict(report)))
     return EXIT_OK
 
@@ -122,13 +105,7 @@ def _cmd_mld(args: argparse.Namespace) -> int:
             raise InputError("--fan-of-v needs --d and --n")
         d = args.d
         _check_d(d)
-        n = _flag_vector(args.n, d)
-        if not is_primitive(n):
-            raise InputError("n must be primitive")
-        try:
-            value, minimizer = model_V_mld(d, n)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        value, minimizer = model_V_mld(d, _flag_vector(args.n, d))
     else:
         raise InputError("either --fan-of-v or --fan is required")
     sys.stdout.write(serialize.dumps(serialize.mld_report_to_dict(d, value, minimizer)))
@@ -136,23 +113,16 @@ def _cmd_mld(args: argparse.Namespace) -> int:
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    eps = serialize.parse_rational(args.eps)
-    try:
-        report = surface.example_verify(args.n, args.r, eps)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = surface.example_verify(args.n, args.r, serialize.parse_rational(args.eps))
     sys.stdout.write(serialize.dumps(serialize.encode(report)))
     return EXIT_OK
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     eps = serialize.parse_rational(args.eps)
-    try:
-        summary = criterion.scan(args.d, args.r, eps, args.bound, jobs=args.jobs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    summary = criterion.scan(args.d, args.r, eps, args.bound, jobs=args.jobs)
     sys.stdout.write(serialize.dumps(serialize.scan_summary_to_dict(summary)))
-    return EXIT_OK if summary.ok else EXIT_SCAN_FAILURE
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +170,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantViolation as exc:

@@ -235,8 +235,8 @@ class ScanSummary:
     multiplicity bounded by the external boundedness theorem, nothing to
     certify) and the singular class, where the mld minimizer is taken as l
     and the certificate fires by the lemma of ``certify``: ``scan`` reports
-    fired = singular and no failures.  ``failures`` holds the reports of
-    non-firing singular instances, and ``ok`` says there are none."""
+    fired = singular and no failures.  ``failures`` would hold the reports
+    of non-firing singular instances."""
 
     d: int
     r: int
@@ -248,10 +248,6 @@ class ScanSummary:
     singular: int
     fired: int
     failures: tuple[CertificateReport, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _lift_range(rho: int, n1: int, bound: int) -> range:
@@ -331,21 +327,19 @@ def scan(
        the lemma of ``certify`` then makes the certificate of (n, l) fire.
     ``scan`` uses thr = eps_prime = eps/(3 d r) <= 1/6.
 
-    ``jobs`` caps the worker processes (None: the usable CPUs).  The pool
-    maps over the n_1 tasks and starts min(jobs, usable CPUs, bound)
-    workers, since it forks all of them at once; the sweep runs in this
-    process when that is 1."""
+    ``jobs`` caps the worker processes: None (the usable CPUs) or an
+    integer >= 1.  The pool maps over the n_1 tasks and starts
+    min(jobs, usable CPUs, bound) workers, since it forks all of them at
+    once; the sweep runs in this process when that is 1."""
     eps = ensure_rational(eps)
     eps_p = epsilon_prime(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
+    if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
+        raise ValueError("jobs must be an integer >= 1")
     tasks = [(d, eps_p, bound, n1) for n1 in range(1, bound + 1)]
     cpus = len(os.sched_getaffinity(0))
-    if jobs is None:
-        jobs = cpus
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    workers = min(jobs, cpus, len(tasks))
+    workers = min(jobs or cpus, cpus, len(tasks))
     if workers == 1:
         results = [_scan_n1(task) for task in tasks]
     else:

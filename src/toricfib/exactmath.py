@@ -72,36 +72,58 @@ def is_primitive(v: Sequence[int]) -> bool:
     return math.gcd(*lattice_vector(v)) == 1
 
 
-def _bareiss(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) forward elimination of integer rows, in place.
+def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows, in
+    place.  Returns the pivot columns in order, the sign of the row swaps
+    and the last pivot (1 when there is none).
 
-    Returns the pivot columns in order and the sign of the row swaps; the
-    i-th pivot sits in row i, and the rows below the last pivot are zero.
-    Each update divides by the previous pivot; the division is exact
-    because every entry is then a minor of the pivot columns so far and
-    its own column (Bareiss, *Math. Comp.* 22, 1968).  So when the first
-    i columns are all pivots, the i-th pivot is the leading i x i minor of
-    the rows as swapped.
+    For each column in turn, the first row from the next free one down
+    with a nonzero entry is swapped up to it (none: the column is
+    skipped), and every other row i becomes (p row_i - f row_r) / q, for
+    the new pivot p in row r, row i's entry f in its column and the
+    previous pivot q (first 1).  The loop stops once every row holds a
+    pivot.  So the k-th pivot sits in row k, each pivot column is zero off
+    its pivot, and the rows below the last pivot are zero.
+
+    Every division is exact.  Let A be the input with its rows in their
+    final order, B its block on rows 1..k and the first k pivot columns,
+    and p_k = det B.  After k pivots, entry (i, j), for every column j,
+    skipped ones included, is an integer minor of A: det B with its i-th
+    column replaced by A's column j when i <= k (Cramer: the rows 1..k are
+    p_k B^-1 A), and the minor on rows 1..k, i and the pivot columns and j
+    when i > k (Bareiss, *Math. Comp.* 22, 1968).  Step k+1 takes (p, f)
+    from these minors with p = p_{k+1}, and p row_i - f row_r is p_k times
+    the minors at k+1, so the division by q = p_k is exact; nothing here
+    asks that column j hold a pivot.  When the first k columns are all
+    pivots, the k-th pivot is the leading k x k minor of the rows as
+    swapped.
     """
     pivots: list[int] = []
     sign = 1
     prev = 1
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
+    m = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if m else 0):
+        for pr in range(r, m):
+            if rows[pr][c]:
+                break
+        else:
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
             sign = -sign
         pivot_row = rows[r]
         p = pivot_row[c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
         prev = p
         pivots.append(c)
-    return pivots, sign
+        r += 1
+        if r == m:
+            break
+    return pivots, sign, prev
 
 
 def rank(vectors: Sequence[Sequence[int]]) -> int:
@@ -120,11 +142,10 @@ def solve_in_basis(
     span, and None otherwise.
 
     The target is scaled to integers by the lcm of its denominators, and
-    the augmented matrix [G | t] with the generators as columns is brought
-    to echelon form by Bareiss elimination: the generators are independent
-    exactly when their k columns are all pivots, and the target lies in
-    their span exactly when its column is not.  The k triangular rows are
-    then solved from the bottom up.
+    ``_bareiss`` reduces [G | t] with the generators as columns: they are
+    independent exactly when their k columns are all pivots, and the
+    target lies in their span exactly when its column is not.  Row j < k
+    then reads p on the diagonal and p x_j scale in the target column.
     """
     gens = [lattice_vector(g) for g in generators]
     if not gens:
@@ -138,17 +159,12 @@ def solve_in_basis(
     k = len(gens)
     scale = math.lcm(*(t.denominator for t in tgt))
     rows = [[g[i] for g in gens] + [int(tgt[i] * scale)] for i in range(d)]
-    pivots, _ = _bareiss(rows)
+    pivots, _, _ = _bareiss(rows)
     if pivots[:k] != list(range(k)):
         raise ValueError("generators not independent")
     if len(pivots) > k:
         return None
-    sol: list[Fraction] = [Fraction(0)] * k
-    for j in reversed(range(k)):
-        row = rows[j]
-        rest = sum(row[i] * sol[i] for i in range(j + 1, k))
-        sol[j] = Fraction(row[k] - rest, row[j])
-    return tuple(x / scale for x in sol)
+    return tuple(Fraction(rows[j][k], rows[j][j] * scale) for j in range(k))
 
 
 def det(matrix: Sequence[Sequence[int]]) -> int:
@@ -159,22 +175,20 @@ def det(matrix: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    pivots, sign = _bareiss(rows)
-    return sign * rows[-1][-1] if len(pivots) == n else 0
+    pivots, sign, last = _bareiss(rows)
+    return sign * last if len(pivots) == n else 0
 
 
 def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | None:
     """The integer inverse (adj(A), det(A)) of a square integer matrix A,
     with adj(A) A = det(A) I, or None when A is singular.
 
-    One fraction-free (Bareiss) Gauss-Jordan elimination of [A | I] clears
-    each pivot column above and below the pivot.  Each update divides by
-    the previous pivot exactly, as every entry is then a minor of [A | I]
-    (Bareiss, *Math. Comp.* 22, 1968), and every diagonal entry of the left
-    block equals the latest pivot.  The row operations amount to a matrix M
-    with M [A | I] = [D I | M], so M = D A^-1, where D, the last pivot, is
-    the determinant of A with its rows swapped as the pivots were chosen:
-    D = s det(A) for the sign s of that permutation.  Hence adj(A) = s M.
+    ``_bareiss`` reduces [A | I], whose n pivots fall in the first n
+    columns exactly when A is nonsingular.  The row operations amount to a
+    matrix M with M [A | I] = [D I | M], so M = D A^-1, where D, the last
+    pivot, is the determinant of A with its rows swapped as the pivots
+    were chosen: D = s det(A) for the sign s of the swaps.  Hence
+    adj(A) = s M and det(A) = s D.
     """
     n = len(matrix)
     rows = [list(row) + [0] * n for row in matrix]
@@ -182,25 +196,10 @@ def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | No
         raise ValueError("matrix is not square")
     for i, row in enumerate(rows):
         row[n + i] = 1
-    sign = 1
-    prev = 1
-    for k in range(n):
-        for pr in range(k, n):
-            if rows[pr][k]:
-                break
-        else:
-            return None
-        if pr != k:
-            rows[k], rows[pr] = rows[pr], rows[k]
-            sign = -sign
-        pivot_row = rows[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
-        prev = p
-    return [[sign * x for x in row[n:]] for row in rows], sign * prev
+    pivots, sign, last = _bareiss(rows)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [[sign * x for x in row[n:]] for row in rows], sign * last
 
 
 def smith_normal_form(

@@ -42,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .exactmath import (
@@ -431,22 +431,26 @@ class Fan:
         return None
 
 
-def standard_fibration_fan(d: int) -> Fan:
-    """The fan of the projective-space bundle of rank d-1 over the line.
+@lru_cache(maxsize=16)
+def horizontal_rays(d: int) -> tuple[LatticeVector, ...]:
+    """e_2, ..., e_d and c = -(e_2 + ... + e_d): the rays of the smooth fan
+    of P^{d-1} in the hyperplane x_1 = 0."""
+    return tuple(tuple(int(i == j) for i in range(d)) for j in range(1, d)) + ((0,) + (-1,) * (d - 1),)
 
-    Rays are e_1, ..., e_d and c = -(e_2 + ... + e_d); the maximal cones are
-    spanned by e_1 together with each (d-1)-subset of {e_2, ..., e_d, c}.
-    The support is the half-space x_1 >= 0.
-    """
+
+def fibration_fan(d: int, n: LatticeVector) -> Fan:
+    """The fan whose maximal cones are spanned by n together with each
+    (d-1)-subset of ``horizontal_rays(d)``."""
+    subsets = itertools.combinations(horizontal_rays(d), d - 1)
+    return Fan(d, tuple(Cone((n,) + subset, d) for subset in subsets))
+
+
+def standard_fibration_fan(d: int) -> Fan:
+    """The fan of the projective-space bundle of rank d-1 over the line:
+    ``fibration_fan`` of e_1.  Its support is the half-space x_1 >= 0."""
     if d < 2:
         raise ValueError("fibration fans need ambient dimension >= 2")
-    basis = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    horizontal = basis[1:] + [tuple([0] + [-1] * (d - 1))]
-    cones = [
-        Cone((basis[0],) + subset, d)
-        for subset in itertools.combinations(horizontal, d - 1)
-    ]
-    return Fan(d, tuple(cones))
+    return fibration_fan(d, (1,) + (0,) * (d - 1))
 
 
 def smallest_containing_cone(

@@ -17,7 +17,6 @@ entry of l, and U the star subdivision of W at n.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ from .divisors import (
     rel_lin_equiv,
     zero_divisor,
 )
-from .fan import Cone, Fan
+from .fan import Fan, fibration_fan, horizontal_rays
 
 @dataclass(frozen=True)
 class FibrationModel:
@@ -153,23 +152,13 @@ def _vertical_pair(
 
 
 @lru_cache(maxsize=16)
-def horizontal_rays(d: int) -> tuple[LatticeVector, ...]:
-    """e_2, ..., e_d and c = -(e_2 + ... + e_d): the rays of the smooth fan
-    of P^{d-1} in the hyperplane x_1 = 0."""
-    return tuple(tuple(int(i == j) for i in range(d)) for j in range(1, d)) + ((0,) + (-1,) * (d - 1),)
-
-
-@lru_cache(maxsize=16)
 def model_V(d: int, n: Sequence[int]) -> FibrationModel:
-    """The fibration model of a primitive vector n with n_1 > 0: maximal
-    cones are spanned by n together with the (d-1)-subsets of the
-    horizontal rays {e_2, ..., e_d, c}."""
+    """The fibration model of a primitive vector n with n_1 > 0: its fan is
+    ``fan.fibration_fan(d, n)``, whose maximal cones are spanned by n
+    together with the (d-1)-subsets of the horizontal rays
+    {e_2, ..., e_d, c}."""
     vec = _v_vector(d, n, "n")
-    cones = [
-        Cone((vec,) + subset, d)
-        for subset in itertools.combinations(horizontal_rays(d), d - 1)
-    ]
-    return FibrationModel(Fan(d, tuple(cones)), vec)
+    return FibrationModel(fibration_fan(d, vec), vec)
 
 
 def _v_cones(

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,7 +311,9 @@ def test_scan_golden(capsys, jobs):
     assert err == ""
 
 
-def test_scan_failure_nests_certificates_and_exits_3(monkeypatch, capsys):
+def test_scan_failure_nests_certificates():
+    # scan writes no failures (the lemma of criterion.scan), so a non-firing
+    # certificate is nested in a summary built by hand
     flags, certificate = CERTIFY_GOLDENS[3]
     assert not certificate["fires"]
     report = criterion.certify(3, 2, Fraction(1, 3), (8, -3, 5), (2, -1, 1))
@@ -316,17 +321,12 @@ def test_scan_failure_nests_certificates_and_exits_3(monkeypatch, capsys):
         d=3, r=2, eps=Fraction(1, 3), eps_prime=Fraction(1, 54), bound=8, total=5,
         epsilon_lc=4, singular=1, fired=0, failures=(report,),
     )
-    nested = serialize.scan_summary_to_dict(summary)["failures"]
+    doc = serialize.scan_summary_to_dict(summary)
+    nested = doc["failures"]
     assert nested == [serialize.certificate_to_dict(report)]
     assert nested[0]["schema_version"] == 1 and nested[0]["kind"] == "certificate"
     assert nested[0]["legend"] == CERTIFICATE_LEGEND
-
-    monkeypatch.setattr(cli.criterion, "scan", lambda *args, **kwargs: summary)
-    argv = ["scan", "--d", "3", "--r", "2", "--eps", "1/3", "--bound", "8", "--jobs", "1"]
-    assert cli.main(argv) == cli.EXIT_SCAN_FAILURE
-    out, err = capsys.readouterr()
-    assert out == _golden(SCAN_FAILURE_DOC, SCAN_LEGEND)
-    assert err == ""
+    assert serialize.dumps(doc) == _golden(SCAN_FAILURE_DOC, SCAN_LEGEND)
 
 
 MLD_FAN_GOLDENS = [
@@ -414,7 +414,7 @@ def test_mld_fan_rejects_string_rays(tmp_path, capsys, cones, ray):
     assert err == f"error: vectors must be integer arrays, got {ray!r}\n"
 
 
-@pytest.mark.parametrize("key,value", [("n", "5,1"), ("l", "1,0"), ("n", "5")])
+@pytest.mark.parametrize("key,value", [("n", "5,1"), ("l", "1,0"), ("n", "5"), ("l", None)])
 def test_certify_in_rejects_string_vectors(tmp_path, capsys, key, value):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"d": 2, "r": 1, "eps": "1/2", "n": [5, 1], "l": [1, 0], key: value}))
@@ -425,7 +425,8 @@ def test_certify_in_rejects_string_vectors(tmp_path, capsys, key, value):
 
 
 # stderr of `certify` on invalid flags, recorded before the closed form
-# replaced the fan route; every one exits 2 and writes nothing to stdout.
+# replaced the fan route but for the last; every one exits 2 and writes
+# nothing to stdout.
 # d is checked before the vectors are parsed, as with --in, so d = 1 with
 # vectors of length 2 reports d
 CERTIFY_FLAG_ERRORS = [
@@ -445,6 +446,8 @@ CERTIFY_FLAG_ERRORS = [
     ({"l": "-1,1"}, "l must have positive first coordinate"),
     ({"l": "5,1"}, "T and D must be distinct toric prime divisors"),
     ({"l": "1,0,0"}, "expected a vector of length 2, got 3"),
+    # n is checked in full before l
+    ({"n": "0,1", "l": "2,4"}, "n must have positive first coordinate"),
 ]
 
 
@@ -455,6 +458,22 @@ def test_certify_flag_errors(capsys, flags, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_certify_needs_l_flag(capsys):
+    assert cli.main(CERTIFY[:-2]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: missing --l (or provide --in)\n"
+
+
+def test_certify_in_needs_l(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"d": 2, "r": 1, "eps": "1/2", "n": [5, 1]}))
+    assert cli.main(["certify", "--in", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: instance file is missing key 'l'\n"
 
 
 def _golden_texts():
@@ -523,3 +542,24 @@ def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv
     out, err = capsys.readouterr()
     assert out == text
     assert err == ""
+
+
+def _run_module(argv):
+    """``python -m toricfib.cli`` in a child interpreter importing the
+    package from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "toricfib.cli"] + argv, capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_module_writes_a_golden_and_exits_0():
+    flags, doc = CERTIFY_GOLDENS[0]
+    done = _run_module(["certify"] + flags)
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_OK, _golden(doc, CERTIFICATE_LEGEND), "")
+
+
+def test_module_reports_invalid_input_in_one_line_and_exits_2():
+    done = _run_module(["certify", "--d", "2", "--r", "0", "--eps", "1/2", "--n", "5,1", "--l", "1,0"])
+    assert (done.returncode, done.stdout, done.stderr) == (cli.EXIT_INPUT, "", "error: r must be an integer >= 1\n")

@@ -557,23 +557,23 @@ class TestScan:
         assert summary.total == 3
         assert summary.epsilon_lc == 3
         assert summary.singular == 0
-        assert summary.ok
+        assert summary.failures == ()
 
     def test_d2_zero_failures(self):
         summary = scan(2, 1, Fraction(1, 2), 20, jobs=1)
         assert summary.singular == summary.fired
-        assert summary.ok
+        assert summary.failures == ()
 
     def test_d2_singular_instances_fire(self):
         # bound 26 puts the chain-family tail below the threshold
         summary = scan(2, 1, Fraction(1, 2), 26, jobs=1)
         assert summary.singular > 0
         assert summary.fired == summary.singular
-        assert summary.ok
+        assert summary.failures == ()
 
     def test_d3_zero_failures(self):
         summary = scan(3, 2, Fraction(1, 3), 8, jobs=1)
-        assert summary.ok
+        assert summary.failures == ()
         assert summary.total == summary.epsilon_lc + summary.singular
 
     def test_d3_singular_instances_certified(self):
@@ -615,6 +615,15 @@ class TestScan:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             scan(2, 1, Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.0, 2.5, "2"])
+    def test_jobs_validation(self, monkeypatch, jobs):
+        # bound 1 is one task, so even an accepted jobs would start no pool
+        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            scan(2, 1, Fraction(1, 2), 1, jobs=jobs)
+        assert _RecordingPool.started == []
 
 
 class _RecordingPool:

@@ -293,6 +293,10 @@ class TestAdjugate:
         assert inverse(a) == (adjugate(a), det(a))
         assert det(a) == -5
 
+    def test_empty_matrix(self):
+        assert inverse([]) == ([], 1)
+        assert det([]) == 1
+
     def test_not_square_rejected(self):
         with pytest.raises(ValueError, match="not square"):
             inverse([[1, 2, 3], [4, 5, 6]])

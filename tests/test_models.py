@@ -41,8 +41,9 @@ def random_instance(rng, d=None, bound=12):
 
 
 class TestModelV:
-    def test_identity_model_is_standard_fan(self):
-        assert model_V(3, (1, 0, 0)).fan == standard_fibration_fan(3)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_identity_model_is_standard_fan(self, d):
+        assert model_V(d, (1,) + (0,) * (d - 1)).fan == standard_fibration_fan(d)
 
     @pytest.mark.parametrize("n", [2, 4, 9])
     def test_skew_family(self, n):
