@@ -27,12 +27,13 @@ the star subdivision that ``model_Y`` returns.
 The certificate runs in integers.  With eps = p/q and the integer
 numerators A_j = n_1 alpha_j and B_k = l_1 beta_k of the decompositions,
 which ``_check_decompositions`` proves and returns, write N = l_1 + sum(A).
-The checks give gamma = l_1/n_1, a = gamma + sum(alphas) and
-u = (r - 1) sum(alphas), so a = N/n_1, u = (r - 1) sum(A)/n_1 and
-gamma beta_k = B_k/n_1.  Then lhs = (p n_1 - q(N + (r - 1) sum(A)))/(q n_1),
-rhs = (r - 1) sum(B)/n_1, and every comparison of ``certify`` is one of
-integers, multiplied through by the positive q n_1 (``certify`` lists
-them).  Fractions are built only for the fields of the report.
+The checks give gamma = l_1/n_1, so a = gamma + sum(alphas) = N/n_1,
+u = (r - 1) sum(alphas) = (r - 1) sum(A)/n_1, lam = 1/gamma = n_1/l_1 and
+gamma beta_k = B_k/n_1; no decomposition stores a, u or lam.  Then
+lhs = (p n_1 - q(N + (r - 1) sum(A)))/(q n_1), rhs = (r - 1) sum(B)/n_1,
+and every comparison of ``certify`` is one of integers, multiplied
+through by the positive q n_1 (``certify`` lists them).  Fractions are
+built only for the fields of the report, a, u and lam among them.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
 
 
 def _check_decompositions(
-    d: int, r: int, n: LatticeVector, l: LatticeVector, data: DecompositionData
+    d: int, n: LatticeVector, l: LatticeVector, data: DecompositionData
 ) -> tuple[int, list[int]]:
     """Prove in integers that ``data`` holds the smallest-cone
     decompositions of l on V and of n on W, and return sum(A) and the list
@@ -125,12 +126,12 @@ def _check_decompositions(
     With g = n_1 l - l_1 n, the glue check asks gamma = l_1/n_1, that
     every A_j and B_k is an integer, sum(A_j h_j) = g and
     sum(B_k h_k) = -g; the face check asks that each side's horizontal
-    rays miss at least one of H = (e_2, ..., e_d, c).  With lam = 1/gamma
-    and the strict positivity of every coefficient, which
-    ``DecompositionData`` checks, this puts l in the relative interior of a
-    face <n, S> of the V cone <n, H minus h_m>, which is then its smallest
-    cone, and n likewise on W.  Last, u = (r - 1) sum(alphas) is checked as
-    u.num n_1 = (r - 1) sum(A) u.den.
+    rays miss at least one of H = (e_2, ..., e_d, c).  Then
+    n = (n_1/l_1) l + sum(beta_k h_k), with n_1/l_1 = 1/gamma.  With the
+    strict positivity of every coefficient, which ``DecompositionData``
+    checks, this puts l in the relative interior of a face <n, S> of the
+    V cone <n, H minus h_m>, which is then its smallest cone, and n
+    likewise on W.
     """
     n1, l1 = n[0], l[0]
     if data.gamma.numerator * n1 != l1 * data.gamma.denominator:
@@ -153,10 +154,7 @@ def _check_decompositions(
         if any(t != sign * gi for t, gi in zip(total, g)):
             raise InvariantViolation("the two smallest-cone decompositions do not glue")
         sides.append(nums)
-    alpha_total = sum(sides[0])
-    if data.u.numerator * n1 != (r - 1) * alpha_total * data.u.denominator:
-        raise InvariantViolation("u != (r - 1) * sum(alphas)")
-    return alpha_total, sides[1]
+    return sum(sides[0]), sides[1]
 
 
 def certify(
@@ -167,7 +165,9 @@ def certify(
     After the input checks (raising ``ValueError``), ``decompose`` writes
     the two smallest-cone decompositions in closed form and
     ``_check_decompositions`` proves in integers that they are; no fan,
-    subdivision or divisor is built.
+    subdivision or divisor is built.  The report's a = N/n_1,
+    u = (r - 1) sum(A)/n_1 and lam = n_1/l_1 are built from the proved
+    integers.
 
     The verdict and the threshold are integer comparisons.  With eps = p/q,
     N = n_1 a = l_1 + sum(A) (``a_num``) and the B_k of
@@ -200,12 +200,13 @@ def certify(
     eps = ensure_rational(eps)
     nvec, lvec = lattice_vector(n), lattice_vector(l)
     eps_p = epsilon_prime(d, r, eps)
-    data = decompose(d, nvec, lvec, r)
-    alpha_total, beta_nums = _check_decompositions(d, r, nvec, lvec, data)
+    data = decompose(d, nvec, lvec)
+    alpha_total, beta_nums = _check_decompositions(d, nvec, lvec, data)
 
-    p, q, n1 = eps.numerator, eps.denominator, nvec[0]
-    a_num = lvec[0] + alpha_total
-    lhs_num = p * n1 - q * (a_num + (r - 1) * alpha_total)
+    p, q, n1, l1 = eps.numerator, eps.denominator, nvec[0], lvec[0]
+    a_num = l1 + alpha_total
+    u_num = (r - 1) * alpha_total
+    lhs_num = p * n1 - q * (a_num + u_num)
     rhs_num = (r - 1) * sum(beta_nums)
     below = 3 * d * r * q * a_num < p * n1
     return CertificateReport(
@@ -215,10 +216,10 @@ def certify(
         eps_prime=eps_p,
         n=nvec,
         l=lvec,
-        a=data.a,
+        a=Fraction(a_num, n1),
         gamma=data.gamma,
-        u=data.u,
-        lam=data.lam,
+        u=Fraction(u_num, n1),
+        lam=Fraction(n1, l1),
         alphas=data.alphas,
         betas=data.betas,
         lhs=Fraction(lhs_num, q * n1),

@@ -6,10 +6,12 @@ fan; its fiber over the origin is the single prime divisor of n, with
 multiplicity n_1.  Extracting a second vertical vector l from V gives Y,
 and swapping the roles of n and l gives W and U.  The decompositions of l
 on its smallest cone in the V-fan and of n on its smallest cone in the
-W-fan carry the log discrepancy and all the coefficients the negativity
-certificate is built from.  ``decompose`` writes both in closed form from
-n and l, with no fan.  The models themselves are built for ``surface`` and
-for the two checks on Y, the extraction identities and the class split.
+W-fan carry all the coefficients the negativity certificate is built
+from; ``DecompositionData`` stores only these, and the log discrepancy a
+is computed from them.  ``decompose`` writes both in closed form from n
+and l, with no fan and no r, on which neither depends.  The models
+themselves are built for ``surface`` and for the two checks on Y, the
+extraction identities and the class split.
 Each fan is built once: ``model_Y`` returns the star subdivision of V that
 made Y, and both checks read V, l and Y off it; W is the ``model_V`` cache
 entry of l, and U the star subdivision of W at n.
@@ -67,45 +69,33 @@ class DecompositionData:
     """Coefficients of the two smallest-cone decompositions.
 
     gamma and alphas come from writing l = gamma*n + sum(alpha_j h_j) on the
-    V-fan, a = gamma + sum(alphas) is the log discrepancy of l on V, and
-    u = (r-1)*sum(alphas).  lam and betas come from the swapped
-    decomposition n = lam*l + sum(beta_k h_k) on the W-fan; lam*gamma = 1.
-    The h_j and h_k are horizontal rays, and alphas and betas list only
-    the strictly positive coefficients, sorted by ray.
-
-    The checks run in integers.  A rational keeps a positive denominator,
-    so x > 0 iff its numerator is, and x = y iff x.num y.den = y.num x.den.
-    With D the lcm of the denominators of gamma and the alphas, each of
-    them is x.num (D/x.den)/D, so gamma + sum(alphas) = S/D with S the sum
-    of the x.num (D/x.den), and a = S/D iff a.num D = S a.den.
+    V-fan, and a = gamma + sum(alphas) is the log discrepancy of l on V.
+    betas come from the swapped decomposition n = (1/gamma) l +
+    sum(beta_k h_k) on the W-fan.  The h_j and h_k are horizontal rays, and
+    alphas and betas list only the strictly positive coefficients, sorted
+    by ray.  A rational keeps a positive denominator, so x > 0 iff its
+    numerator is.
     """
 
     gamma: Rat
     alphas: tuple[tuple[LatticeVector, Rat], ...]
-    a: Rat
-    u: Rat
-    lam: Rat
     betas: tuple[tuple[LatticeVector, Rat], ...]
 
     def __post_init__(self) -> None:
-        gamma, a, lam = self.gamma, self.a, self.lam
-        if gamma.numerator <= 0:
+        if self.gamma.numerator <= 0:
             raise ValueError("gamma must be positive")
         if any(c.numerator <= 0 for _, c in self.alphas):
             raise ValueError("alpha coefficients must be strictly positive")
         if any(c.numerator <= 0 for _, c in self.betas):
             raise ValueError("beta coefficients must be strictly positive")
-        terms = [gamma] + [c for _, c in self.alphas]
-        den = math.lcm(*(x.denominator for x in terms))
-        total = sum(x.numerator * (den // x.denominator) for x in terms)
-        if a.numerator * den != total * a.denominator:
-            raise InvariantViolation("a != gamma + sum(alphas)")
-        if lam.numerator * gamma.numerator != lam.denominator * gamma.denominator:
-            raise InvariantViolation("lam * gamma != 1")
 
     @property
     def alpha_sum(self) -> Rat:
         return sum((c for _, c in self.alphas), Fraction(0))
+
+    @property
+    def a(self) -> Rat:
+        return self.gamma + self.alpha_sum
 
 
 class YModelResult(NamedTuple):
@@ -296,10 +286,10 @@ def _fan_coordinates(w: Sequence[int]) -> list[int]:
     return [wi + y for wi in w] + [y]
 
 
-def decompose(d: int, n: Sequence[int], l: Sequence[int], r: int) -> DecompositionData:
+def decompose(d: int, n: Sequence[int], l: Sequence[int]) -> DecompositionData:
     """The smallest-cone decompositions of l on V and of n on W, in closed
     form from n and l alone: no fan is built.  Raises the ``ValueError``s
-    of ``model_V`` for n and of ``model_Y`` for l and r.
+    of ``model_V`` for n and of ``model_Y`` for l.
 
     Let H = (e_2, ..., e_d, c) be the horizontal rays, g = n_1 l - l_1 n
     and A = ``_fan_coordinates(g[1:])``, B = ``_fan_coordinates(-g[1:])``.
@@ -322,24 +312,16 @@ def decompose(d: int, n: Sequence[int], l: Sequence[int], r: int) -> Decompositi
     basis, so the coefficients are unique.  W is the V model of l, and
     l_1 n - n_1 l = -g, so the same argument with n and l swapped and B in
     place of A gives the decomposition of n on W.
-
-    a = gamma + sum(alphas), u = (r - 1) sum(alphas), lam gamma = 1.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError("r must be an integer >= 1")
     nvec, lvec = _vertical_pair(d, n, l)
     n1, l1 = nvec[0], lvec[0]
     w = [n1 * li - l1 * ni for ni, li in zip(nvec[1:], lvec[1:])]
     horizontal = horizontal_rays(d)
     alpha_nums = _fan_coordinates(w)
     beta_nums = _fan_coordinates([-x for x in w])
-    alpha_total = sum(alpha_nums)
     return DecompositionData(
         gamma=Fraction(l1, n1),
         alphas=tuple(sorted((h, Fraction(c, n1)) for h, c in zip(horizontal, alpha_nums) if c)),
-        a=Fraction(l1 + alpha_total, n1),
-        u=Fraction((r - 1) * alpha_total, n1),
-        lam=Fraction(n1, l1),
         betas=tuple(sorted((h, Fraction(c, l1)) for h, c in zip(horizontal, beta_nums) if c)),
     )
 
@@ -363,7 +345,7 @@ def model_Y(
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     n = v_model.distinguished_ray
-    data = decompose(v_model.fan.ambient_dim, n, l, r)
+    data = decompose(v_model.fan.ambient_dim, n, l)
     sub = Subdivision.at(v_model.fan, l)
     return YModelResult(FibrationModel(sub.fine, n), _theta(sub, r, eps), data, sub)
 
@@ -371,7 +353,7 @@ def model_Y(
 def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
     """The swapped models: W is ``model_V(d, l)``, the fibration model of
     l, and U extracts n from it.  The swapped decomposition is
-    ``decompose``'s lam and betas."""
+    ``decompose``'s betas, with 1/gamma on l."""
     nvec, lvec = _vertical_pair(d, n, l)
     w = model_V(d, lvec)
     sub = Subdivision.at(w.fan, nvec)
@@ -418,19 +400,15 @@ def verify_extraction_identities(y: YModelResult) -> ExtractionReport:
     return ExtractionReport(crepant, lc_witness, fiber_witness)
 
 
-def log_canonical_class_split(
-    y: YModelResult, r: int, eps: int | Rat
-) -> tuple[Rat, ToricDivisor]:
+def log_canonical_class_split(y: YModelResult, r: int, eps: int | Rat) -> Rat:
     """The class of K_Y + theta over the base, split against the transforms,
     on the Y-fan of ``model_Y``'s result with theta rebuilt for r and eps:
-    returns c = (eps - a - u) n_1/l_1 and verifies exactly that
-    K_Y + theta is equivalent to c*T + (r-1)*S over the base.  The returned
-    divisor is the residue of that identity and is always zero."""
+    returns c = (eps - a - u) n_1/l_1 with u = (r-1) sum(alphas) and
+    verifies exactly that K_Y + theta is equivalent to c*T + (r-1)*S over
+    the base, with a zero residue."""
     eps = ensure_rational(eps)
     sub, data = y.sub, y.data
     u = (r - 1) * data.alpha_sum
-    if data.u != u:
-        raise ValueError("decomposition data was built for a different r")
     n, l, y_fan = y.model.distinguished_ray, sub.new_ray, sub.fine
 
     c = (eps - data.a - u) * Fraction(n[0], l[0])
@@ -442,4 +420,4 @@ def log_canonical_class_split(
     residue = lhs - rhs + character_divisor(y_fan, witness)
     if not residue.is_zero():
         raise InvariantViolation("class split left a nonzero residue")
-    return c, residue
+    return c

@@ -156,14 +156,11 @@ class ChainReport:
 def example_verify(n: int, r: int, eps: int | Rat) -> ChainReport:
     """Check the chain family against its closed forms: a = 2/n,
     D.T = 1, (K_Y + theta).T = -eps + 2r/n, and certificate fires exactly
-    when the last pairing is negative."""
+    when the last pairing is negative.  r and eps are checked by
+    ``model_Y``, before anything reads them."""
     if n < 2:
         raise ValueError("the verified family starts at n = 2")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError("r must be an integer >= 1")
     eps = ensure_rational(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
     chain = example_models(n)
     t_ray = (n, 1)
     d_ray = (1, 0)

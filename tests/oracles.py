@@ -338,12 +338,13 @@ def decompose_on_fan(fan: Fan, apex: LatticeVector, vec: LatticeVector):
     return weight, rest
 
 
-def fan_decomposition(d: int, n: LatticeVector, l: LatticeVector, r: int) -> DecompositionData:
-    """The decomposition data read off the built V fan of n and W fan of l."""
+def fan_decomposition(d: int, n: LatticeVector, l: LatticeVector) -> DecompositionData:
+    """The decomposition data read off the built V fan of n and W fan of l,
+    whose weights on l and on n must be inverse: lam gamma = 1."""
     gamma, alphas = decompose_on_fan(model_V(d, n).fan, n, l)
     lam, betas = decompose_on_fan(model_V(d, l).fan, l, n)
-    alpha_sum = sum((c for _, c in alphas), Fraction(0))
-    return DecompositionData(gamma, alphas, gamma + alpha_sum, (r - 1) * alpha_sum, lam, betas)
+    assert lam * gamma == 1
+    return DecompositionData(gamma, alphas, betas)
 
 
 def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVector) -> CertificateReport:
@@ -351,8 +352,8 @@ def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVecto
     ``fan_decomposition``, the glue gamma*n - l = sum(gamma beta_k h_k) =
     -sum(alpha_j h_j) checked in Fractions, and every report quantity
     written out from its definition."""
-    data = fan_decomposition(d, n, l, r)
-    gamma, a, u = data.gamma, data.a, data.u
+    data = fan_decomposition(d, n, l)
+    gamma, a, u = data.gamma, data.a, (r - 1) * data.alpha_sum
     for i in range(d):
         diff = gamma * n[i] - l[i]
         assert diff == sum((gamma * c * ray[i] for ray, c in data.betas), Fraction(0))
@@ -369,7 +370,7 @@ def fan_certify(d: int, r: int, eps: Fraction, n: LatticeVector, l: LatticeVecto
         )
     return CertificateReport(
         d=d, r=r, eps=eps, eps_prime=eps_prime, n=n, l=l, a=a, gamma=gamma, u=u,
-        lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
+        lam=1 / gamma, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
         fires=lhs > rhs, bounds=bounds,
     )
 
@@ -442,7 +443,7 @@ def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
     )
 
 
-def fraction_decomposition_checks(gamma, alphas, a, lam, betas) -> None:
+def fraction_decomposition_checks(gamma, alphas, betas) -> None:
     """The checks of ``DecompositionData`` by Fraction arithmetic, with its
     messages."""
     if gamma <= 0:
@@ -451,10 +452,6 @@ def fraction_decomposition_checks(gamma, alphas, a, lam, betas) -> None:
         raise ValueError("alpha coefficients must be strictly positive")
     if any(c <= 0 for _, c in betas):
         raise ValueError("beta coefficients must be strictly positive")
-    if a != gamma + sum((c for _, c in alphas), Fraction(0)):
-        raise InvariantViolation("a != gamma + sum(alphas)")
-    if lam * gamma != 1:
-        raise InvariantViolation("lam * gamma != 1")
 
 
 def fraction_report_checks(d, r, eps, eps_prime, lhs, rhs, fires) -> None:
@@ -469,28 +466,29 @@ def fraction_report_checks(d, r, eps, eps_prime, lhs, rhs, fires) -> None:
 def fraction_certify(d: int, r: int, eps: Rat, n: LatticeVector, l: LatticeVector) -> CertificateReport:
     """``criterion.certify`` of valid input with its tail by Fraction
     arithmetic: the decompositions of ``models.decompose``, checked by
-    ``fraction_decomposition_checks``, then eps_prime = eps/(3 d r),
-    lhs = eps - a - u, rhs = (r - 1) gamma sum(betas), the verdict lhs > rhs
-    and, when a < eps_prime, the explicit bounds from their definitions."""
+    ``fraction_decomposition_checks``, then u = (r - 1) sum(alphas),
+    lam = 1/gamma, eps_prime = eps/(3 d r), lhs = eps - a - u,
+    rhs = (r - 1) gamma sum(betas), the verdict lhs > rhs and, when
+    a < eps_prime, the explicit bounds from their definitions."""
     eps = ensure_rational(eps)
     assert 0 < eps <= 1
-    data = decompose(d, n, l, r)
-    fraction_decomposition_checks(data.gamma, data.alphas, data.a, data.lam, data.betas)
+    data = decompose(d, n, l)
+    fraction_decomposition_checks(data.gamma, data.alphas, data.betas)
+    a, u = data.a, (r - 1) * data.alpha_sum
     eps_p = eps / (3 * d * r)
-    lhs = eps - data.a - data.u
+    lhs = eps - a - u
     rhs = (r - 1) * data.gamma * sum((c for _, c in data.betas), Fraction(0))
     bounds = None
-    if data.a < eps_p:
-        a = data.a
+    if a < eps_p:
         bounds = ExplicitBounds(
-            u_bounded=data.u <= (r - 1) * a,
+            u_bounded=u <= (r - 1) * a,
             beta_terms_bounded=all(data.gamma * beta < 2 * a for _, beta in data.betas),
             margin_strict=eps - r * a > (r - 1) * (d - 1) * 2 * a,
         )
     fraction_report_checks(d, r, eps, eps_p, lhs, rhs, lhs > rhs)
     return CertificateReport(
-        d=d, r=r, eps=eps, eps_prime=eps_p, n=tuple(n), l=tuple(l), a=data.a, gamma=data.gamma,
-        u=data.u, lam=data.lam, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
+        d=d, r=r, eps=eps, eps_prime=eps_p, n=tuple(n), l=tuple(l), a=a, gamma=data.gamma,
+        u=u, lam=1 / data.gamma, alphas=data.alphas, betas=data.betas, lhs=lhs, rhs=rhs,
         fires=lhs > rhs, bounds=bounds,
     )
 

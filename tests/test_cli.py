@@ -192,6 +192,27 @@ def test_example_golden(capsys, n, r, eps, a, fires, pairing):
     assert err == ""
 
 
+# stderr of `example` on invalid flags, recorded while `example_verify`
+# still checked r and eps itself; every one exits 2 and writes nothing to
+# stdout.
+EXAMPLE_FLAG_ERRORS = [
+    ({"n": "1"}, "the verified family starts at n = 2"),
+    ({"r": "0"}, "r must be an integer >= 1"),
+    ({"eps": "0"}, "eps must lie in (0, 1]"),
+    ({"eps": "3/2"}, "eps must lie in (0, 1]"),
+    ({"eps": "0.5"}, "rationals must be p/q, got '0.5'"),
+]
+
+
+@pytest.mark.parametrize("flags,message", EXAMPLE_FLAG_ERRORS)
+def test_example_flag_errors(capsys, flags, message):
+    values = {"n": "3", "r": "1", "eps": "1/2", **flags}
+    assert cli.main(["example"] + [f"--{key}={value}" for key, value in values.items()]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def _golden(doc, legend):
     """The exact stdout of a report: sorted keys, two-space indent, newline."""
     return json.dumps(dict(doc, legend=legend, schema_version=1), sort_keys=True, indent=2) + "\n"

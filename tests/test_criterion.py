@@ -184,13 +184,9 @@ class TestCertifyClosedForm:
     @pytest.mark.parametrize(
         "corrupt,message",
         [
+            (lambda data: replace(data, gamma=data.gamma * 2), "do not glue"),
             (
-                lambda data: replace(data, gamma=data.gamma * 2, lam=data.lam / 2, a=data.a + data.gamma),
-                "do not glue",
-            ),
-            (
-                lambda data: replace(data, alphas=((data.alphas[0][0], data.alphas[0][1] + 1),) + data.alphas[1:],
-                                     a=data.a + 1),
+                lambda data: replace(data, alphas=((data.alphas[0][0], data.alphas[0][1] + 1),) + data.alphas[1:]),
                 "do not glue",
             ),
             (
@@ -208,7 +204,6 @@ class TestCertifyClosedForm:
                 lambda data: replace(
                     data,
                     alphas=(((0, -1, -1), Fraction(1)),) + tuple((ray, c + 1) for ray, c in data.alphas),
-                    a=data.a + 3,
                 ),
                 "does not lie on a cone",
             ),
@@ -302,18 +297,13 @@ class TestIntegerCertificate:
         # firing with all bounds, firing above the threshold, and not firing
         assert {(True, True, False), (True, False, True), (False, False, True)} <= kinds
 
-    @given(SMALL_RATIONALS, st.lists(SMALL_RATIONALS, max_size=3), SMALL_RATIONALS, SMALL_RATIONALS,
-           st.lists(SMALL_RATIONALS, max_size=3), st.booleans())
+    @given(SMALL_RATIONALS, st.lists(SMALL_RATIONALS, max_size=3), st.lists(SMALL_RATIONALS, max_size=3))
     @settings(max_examples=400, deadline=None)
-    def test_decomposition_checks_equal_the_fraction_form(self, gamma, alphas, a, lam, betas, consistent):
+    def test_decomposition_checks_equal_the_fraction_form(self, gamma, alphas, betas):
         rays = [(0, 1, 0), (0, 0, 1), (0, -1, -1)]
-        alphas = tuple(zip(rays, alphas))
-        betas = tuple(zip(rays, betas))
-        if consistent and gamma:
-            a, lam = gamma + sum((c for _, c in alphas), Fraction(0)), 1 / gamma
-        fields = dict(gamma=gamma, alphas=alphas, a=a, lam=lam, betas=betas)
+        fields = dict(gamma=gamma, alphas=tuple(zip(rays, alphas)), betas=tuple(zip(rays, betas)))
         expected = _raised(lambda: fraction_decomposition_checks(**fields))
-        assert _raised(lambda: DecompositionData(u=Fraction(0), **fields)) == expected
+        assert _raised(lambda: DecompositionData(**fields)) == expected
 
     @given(st.integers(2, 4), st.integers(1, 4), SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS,
            SMALL_RATIONALS, st.booleans(), st.booleans())
@@ -334,11 +324,6 @@ class TestIntegerCertificate:
              ValueError, "alpha coefficients must be strictly positive"),
             (lambda data: replace(data, betas=data.betas[:1] + ((data.betas[1][0], Fraction(0)),)),
              ValueError, "beta coefficients must be strictly positive"),
-            # a off by 1/7, a denominator none of the others has
-            (lambda data: replace(data, a=data.a + Fraction(1, 7)), InvariantViolation,
-             "a != gamma + sum(alphas)"),
-            (lambda data: replace(data, lam=data.lam + 1), InvariantViolation, "lam * gamma != 1"),
-            (lambda data: replace(data, u=data.u * 2), InvariantViolation, "u != (r - 1) * sum(alphas)"),
         ],
     )
     def test_corrupted_decompositions_raise(self, monkeypatch, corrupt, kind, message):
@@ -423,11 +408,10 @@ class TestSingularStratum:
         d, r, eps = WORKLOADS.CERTIFY_D, WORKLOADS.CERTIFY_R, WORKLOADS.CERTIFY_EPS
         y = model_Y(model_V(d, n), l, r, eps)
         data = y.data
-        assert data == fan_decomposition(d, n, l, r)
+        assert data == fan_decomposition(d, n, l)
         assert verify_extraction_identities(y).all_pass
-        c, residue = log_canonical_class_split(y, r, eps)
-        assert residue.is_zero()
-        assert c == (eps - data.a - data.u) * Fraction(n[0], l[0])
+        c = log_canonical_class_split(y, r, eps)
+        assert c == (eps - data.a - (r - 1) * data.alpha_sum) * Fraction(n[0], l[0])
         _, u = model_W_U(d, l, n)
         assert u.fan.rays == y.model.fan.rays
 

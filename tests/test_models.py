@@ -13,11 +13,10 @@ from oracles import (
 )
 
 from toricfib import models
-from toricfib.divisors import toric_mld, zero_divisor
+from toricfib.divisors import log_discrepancy, toric_mld, zero_divisor
 from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.fan import multiplicity, standard_fibration_fan
 from toricfib.models import (
-    DecompositionData,
     decompose,
     horizontal_rays,
     log_canonical_class_split,
@@ -221,7 +220,6 @@ class TestModelY:
         assert data.gamma == Fraction(1, 6)
         assert dict(data.alphas) == {(0, -1): Fraction(1, 6)}
         assert data.a == Fraction(2, 6)
-        assert data.u == Fraction(2, 6)
         # theta = (1 - eps + r/n) D + r S_1 + r S_2
         assert theta.as_dict() == {
             (1, 0): Fraction(1, 2) + Fraction(3, 6),
@@ -231,9 +229,8 @@ class TestModelY:
 
     def test_degenerate_parameters(self):
         v = model_V(2, (6, 1))
-        _, theta, data, _ = model_Y(v, (1, 0), 1, Fraction(1))
+        _, theta, _, _ = model_Y(v, (1, 0), 1, Fraction(1))
         assert theta.as_dict() == {(1, 0): Fraction(1, 6), (0, 1): 1, (0, -1): 1}
-        assert data.u == 0
 
     def test_dimension_three_hand_case(self):
         v = model_V(3, (1, 0, 0))
@@ -264,16 +261,17 @@ class TestModelWU:
         w, u = model_W_U(2, (1, 0), (6, 1))
         assert w.fan == standard_fibration_fan(2)
         assert u.fan.rays == ((0, -1), (0, 1), (1, 0), (6, 1))
-        data = decompose(2, (6, 1), (1, 0), 1)
-        assert data.lam == 6
+        data = decompose(2, (6, 1), (1, 0))
+        assert data.gamma == Fraction(1, 6)
         assert dict(data.betas) == {(0, 1): 1}
 
     def test_lambda_inverts_gamma(self):
         rng = random.Random(4)
         for _ in range(20):
             d, n, l = random_instance(rng)
-            data = decompose(d, n, l, 1)
-            assert data.lam * data.gamma == 1
+            data = decompose(d, n, l)
+            # fan_decomposition asserts lam gamma = 1, with lam read off W
+            assert data == fan_decomposition(d, n, l)
             assert data.gamma == Fraction(l[0], n[0])
 
     def test_codimension_one_isomorphism(self):
@@ -318,81 +316,66 @@ class TestDecompose:
         n, l = random_vertical(rng, d, 150), random_vertical(rng, d, 150)
         if n == l:
             return
-        r = rng.randint(1, 4)
-        data = decompose(d, n, l, r)
-        expected = fan_decomposition(d, n, l, r)
+        data = decompose(d, n, l)
+        expected = fan_decomposition(d, n, l)
         assert data == expected
         assert repr(data) == repr(expected)
 
     def test_dimension_three_hand_case(self):
         # g = 5 (1,2,-1) - (5,1,1) = (0, 9, -6): y = 6, so 15 on e_2 and 6 on c
-        data = decompose(3, (5, 1, 1), (1, 2, -1), 3)
+        data = decompose(3, (5, 1, 1), (1, 2, -1))
         assert data.gamma == Fraction(1, 5)
         assert data.alphas == (((0, -1, -1), Fraction(6, 5)), ((0, 1, 0), Fraction(3)))
+        assert data.alpha_sum == Fraction(21, 5)
         assert data.a == Fraction(1 + 21, 5)
-        assert data.u == 2 * Fraction(21, 5)
         # -g = (0, -9, 6): y = 9, so 15 on e_3 and 9 on c, over l_1 = 1
-        assert data.lam == 5
         assert data.betas == (((0, -1, -1), Fraction(9)), ((0, 0, 1), Fraction(15)))
 
     def test_every_support_misses_a_horizontal_ray(self):
         for n in primitive_family(3, 3):
             for l in primitive_family(3, 2):
                 if l != n:
-                    data = decompose(3, n, l, 1)
+                    data = decompose(3, n, l)
                     assert 0 < len(data.alphas) < 3
                     assert 0 < len(data.betas) < 3
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_is_the_log_discrepancy_on_V(self, seed):
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n, l = random_vertical(rng, d, 150), random_vertical(rng, d, 150)
+        assume(n != l)
+        v_fan = model_V(d, n).fan
+        assert decompose(d, n, l).a == log_discrepancy(v_fan, zero_divisor(v_fan), l)
+
     @pytest.mark.parametrize(
-        "d,n,l,r",
+        "d,n,l",
         [
-            (2, (2, 4), (1, 0), 1),
-            (2, (0, 1), (1, 0), 1),
-            (3, (2, 1), (1, 0, 0), 1),
-            (2, (3, 1), (2, 4), 1),
-            (2, (3, 1), (0, 1), 1),
-            (2, (3, 1), (3, 1), 1),
-            (2, (3, 1), (1, 0, 0), 1),
-            (2, (3, 1), (1, 0), 0),
-            (2, (3, 1), (1.0, 0), 1),
+            (2, (2, 4), (1, 0)),
+            (2, (0, 1), (1, 0)),
+            (3, (2, 1), (1, 0, 0)),
+            (2, (3, 1), (2, 4)),
+            (2, (3, 1), (0, 1)),
+            (2, (3, 1), (3, 1)),
+            (2, (3, 1), (1, 0, 0)),
+            (2, (3, 1), (1.0, 0)),
         ],
     )
-    def test_rejects_what_the_models_reject(self, d, n, l, r):
+    def test_rejects_what_the_models_reject(self, d, n, l):
         with pytest.raises((ValueError, TypeError)) as expected:
-            model_Y(model_V(d, n), l, r, Fraction(1, 2))
+            model_Y(model_V(d, n), l, 1, Fraction(1, 2))
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-            decompose(d, n, l, r)
+            decompose(d, n, l)
 
 
 class TestDecompositionData:
-    def test_halves_must_agree_on_gamma(self):
-        with pytest.raises(InvariantViolation, match="lam"):
-            DecompositionData(
-                gamma=Fraction(1, 2),
-                alphas=(((0, 1), Fraction(1, 2)),),
-                a=Fraction(1),
-                u=Fraction(0),
-                lam=Fraction(3),
-                betas=(((0, 1), Fraction(1)),),
-            )
-
-    def test_inconsistent_a_rejected(self):
-        with pytest.raises(InvariantViolation):
-            DecompositionData(
-                gamma=Fraction(1, 2),
-                alphas=(((0, 1), Fraction(1, 2)),),
-                a=Fraction(3, 2),
-                u=Fraction(0),
-                lam=Fraction(2),
-                betas=(((0, -1), Fraction(1)),),
-            )
-
     def test_vector_identity(self):
         # gamma*n - l = sum(gamma beta_k f_k) = -sum(alpha_j e_j), exactly
         rng = random.Random(31)
         for _ in range(30):
             d, n, l = random_instance(rng)
-            data = decompose(d, n, l, 2)
+            data = decompose(d, n, l)
             gamma = data.gamma
             for i in range(d):
                 diff = gamma * n[i] - l[i]
@@ -430,15 +413,14 @@ class TestClassSplit:
     @pytest.mark.parametrize("n,r,eps", [(6, 1, Fraction(1, 2)), (5, 3, Fraction(1, 5))])
     def test_skew_family_closed_form(self, n, r, eps):
         v = model_V(2, (n, 1))
-        c, residue = log_canonical_class_split(model_Y(v, (1, 0), r, eps), r, eps)
+        c = log_canonical_class_split(model_Y(v, (1, 0), r, eps), r, eps)
         assert c == (eps - Fraction(2, n) - Fraction(r - 1, n)) * n
-        assert residue.is_zero()
 
     def test_boundary_case_zero_coefficient(self):
         v = model_V(2, (4, 1))
         # eps = a + u makes the leading coefficient vanish
         eps = model_Y(v, (1, 0), 1, Fraction(1, 2)).data.a
-        c, _ = log_canonical_class_split(model_Y(v, (1, 0), 1, eps), 1, eps)
+        c = log_canonical_class_split(model_Y(v, (1, 0), 1, eps), 1, eps)
         assert c == 0
 
     def test_randomized_exact(self):
@@ -449,13 +431,12 @@ class TestClassSplit:
             eps = Fraction(rng.randint(1, 4), 4)
             v = model_V(d, n)
             y = model_Y(v, l, r, eps)
-            c, residue = log_canonical_class_split(y, r, eps)
-            assert residue.is_zero()
-            assert c == (eps - y.data.a - y.data.u) * Fraction(n[0], l[0])
+            c = log_canonical_class_split(y, r, eps)
+            assert c == (eps - y.data.a - (r - 1) * y.data.alpha_sum) * Fraction(n[0], l[0])
 
-    def test_r_mismatch_rejected(self):
+    def test_theta_is_rebuilt_for_the_r_passed_in(self):
         v = model_V(2, (4, 1))
-        y = model_Y(v, (1, 0), 2, Fraction(1, 2))
-        with pytest.raises(ValueError, match="different r"):
-            log_canonical_class_split(y, 3, Fraction(1, 2))
+        eps = Fraction(1, 2)
+        split = log_canonical_class_split(model_Y(v, (1, 0), 2, eps), 3, eps)
+        assert split == log_canonical_class_split(model_Y(v, (1, 0), 3, eps), 3, eps)
 
