@@ -9,15 +9,15 @@ with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
 the threshold eps' = eps/(3 d r) a set of explicit bounds forces the
 strict inequality (the lemma of ``certify``), and ``scan`` sweeps whole
-families counting the instances below it.  It classifies by
-``models.model_V_mld_below`` at eps', which visits only the box-point
-slices k < eps' n_1 of the V model, and it sweeps by residue class:
-whether n is eps'-lc, and its mld when it is not, depend on n only
-through n_1 and n' mod n_1 (a lemma proved in ``scan``), so each class is
-classified once and weighted by its number of lifts in the box.  A
-singular class needs no certificate: its minimizer has a < eps', where
-the certificate always fires.  No class with n_1 <= 1/eps' is classified
-at all.
+families counting the instances below it, one n_1 at a time and without
+visiting the residue classes n' mod n_1 one by one.  It counts the
+primitive n of the box by Moebius inversion over the primes of n_1, and
+the singular ones as the lifts of the classes that
+``models.singular_classes`` enumerates from the short vectors (k, w),
+w = -k n' (mod n_1), of the V model's lattice: whether n is eps'-lc
+depends on n only through n_1 and n' mod n_1.  A singular n needs no
+certificate: its minimizer has a < eps', where the certificate always
+fires.  No n_1 <= 2/eps' has a singular class.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -38,7 +38,6 @@ built only for the fields of the report, a, u and lam among them.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -53,7 +52,7 @@ from .exactmath import (
     ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, decompose, horizontal_rays, model_V_mld_below
+from .models import DecompositionData, decompose, horizontal_rays, singular_classes
 
 
 @dataclass(frozen=True)
@@ -232,10 +231,12 @@ def certify(
 @dataclass(frozen=True)
 class ScanSummary:
     """Outcome of sweeping all primitive n with 0 < n_1 <= bound and
-    |n_i| <= bound.  Instances split into the eps_prime-lc class (fiber
-    multiplicity bounded by the external boundedness theorem, nothing to
-    certify) and the singular class, where the mld minimizer is taken as l
-    and the certificate fires by the lemma of ``certify``: ``scan`` reports
+    |n_i| <= bound: ``total`` of them, counted by Moebius inversion, of
+    which ``singular`` are the lifts of the enumerated singular classes and
+    ``epsilon_lc`` the rest.  The eps_prime-lc ones have fiber multiplicity
+    bounded by the external boundedness theorem and nothing to certify; for
+    a singular one the mld minimizer is taken as l and the certificate
+    fires by the lemma of ``certify``, so ``scan`` reports
     fired = singular and no failures.  ``failures`` would hold the reports
     of non-firing singular instances."""
 
@@ -256,77 +257,76 @@ def _lift_range(rho: int, n1: int, bound: int) -> range:
     return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
+def _primitive_count(d: int, n1: int, bound: int) -> int:
+    """The number of primitive n = (n1, n') with n' in [-bound, bound]^(d-1).
+
+    Lemma: it is the sum of mu(e) (2 floor(bound/e) + 1)^(d-1) over the
+    squarefree divisors e of n1, with mu(e) = (-1)^(number of primes of e).
+    Proof: n is primitive when no prime p of n1 divides every n'_i.  For
+    e | n1 the n' with e | n'_i for every i number
+    #{t in [-bound, bound] : e | t}^(d-1) = (2 floor(bound/e) + 1)^(d-1),
+    the multiples of e in [-bound, bound] being 0 and +-e, ..., +-e
+    floor(bound/e).  Inclusion-exclusion over the primes of n1 counts each
+    n' whose common primes with n1 form a nonempty set P with weight
+    sum over the subsets S of P of (-1)^|S| = 0, and the others once.
+    """
+    terms = [(1, 1)]
+    rest, p = n1, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            terms += [(e * p, -mu) for e, mu in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        terms += [(e * rest, -mu) for e, mu in terms]
+    return sum(mu * (2 * (bound // e) + 1) ** (d - 1) for e, mu in terms)
+
+
 def _scan_n1(args: tuple[int, Rat, int, int]) -> tuple[int, int, int]:
     """The count, the eps_prime-lc count and the singular count of the
-    primitive n of the box with first coordinate n1, swept by residue class
-    as ``scan`` describes."""
+    primitive n of the box with first coordinate n1, as ``scan``
+    describes: the total by ``_primitive_count``, the singular classes by
+    ``models.singular_classes``, each weighted by its lifts."""
     d, eps_p, bound, n1 = args
-    counts = [len(_lift_range(rho, n1, bound)) for rho in range(n1)]
-    # when ceil(eps_prime n1) <= 1, model_V_mld_below is None for every class
-    classify = eps_p.numerator * n1 > eps_p.denominator
-    total = lc = singular = 0
-    for rho in itertools.product(range(n1), repeat=d - 1):
-        if math.gcd(n1, *rho) != 1:
-            continue
-        weight = math.prod(counts[x] for x in rho)
-        total += weight
-        below = model_V_mld_below(d, (n1,) + rho, eps_p) if classify else None
-        if below is None:
-            lc += weight
-            continue
-        if below[1][0] <= 0:
-            raise InvariantViolation("an mld minimizer below the threshold must be vertical")
-        singular += weight
-    return total, lc, singular
+    total = _primitive_count(d, n1, bound)
+    classes = singular_classes(d, n1, eps_p)
+    singular = sum(math.prod(len(_lift_range(x, n1, bound)) for x in rho) for rho in classes)
+    return total, total - singular, singular
 
 
 def scan(
     d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
 ) -> ScanSummary:
-    """Classify every primitive n with 0 < n_1 <= bound and |n_i| <= bound
-    and count the eps_prime-lc and the singular ones.  An n is
+    """Count every primitive n with 0 < n_1 <= bound and |n_i| <= bound,
+    and the eps_prime-lc and the singular ones among them.  An n is
     eps_prime-lc when ``model_V_mld_below(d, n, eps_prime)`` finds no value
     below eps_prime; otherwise its minimizer is l, and the certificate of
-    (n, l) fires (step 5), so ``fired`` is ``singular`` and there are no
+    (n, l) fires (step 3), so ``fired`` is ``singular`` and there are no
     failures: no certificate is computed.
 
-    The sweep runs by residue class, one task per n_1.  Write n = (n_1, n')
-    and rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
-    coordinate n_1 and residue rho are the lifts n' = rho + n_1 t inside
-    the box; they number the product over i of
-    #{x in [-bound, bound] : x = rho_i mod n_1}, read off a ``range``.
-    The task counts the lifts of every class with gcd(n_1, rho) = 1 and
-    classifies its representative (n_1,) + rho once: an eps_prime-lc
-    class adds its whole weight to ``epsilon_lc``, a singular one to
-    ``singular``.  No class is classified when ceil(eps_prime n_1) <= 1,
-    where ``model_V_mld_below`` visits no slice.
+    The sweep runs one task per n_1.  Write n = (n_1, n') and
+    rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
+    coordinate n_1 and class rho are the lifts n' = rho + n_1 t inside the
+    box; they number the product over i of
+    #{x in [-bound, bound] : x = rho_i mod n_1}, read off a ``range``.  The
+    task counts the primitive n by ``_primitive_count``, enumerates the
+    singular classes by ``models.singular_classes`` at eps_prime, adds
+    their lifts to ``singular`` and the rest to ``epsilon_lc``.
 
-    Lemma: for every thr > 0, whether ``model_V_mld_below(d, n, thr)`` is
-    None, and its value when it is not, are the same for every lift
-    n = (n_1, rho + n_1 t) of a class; for thr = eps_prime the
-    certificate of every singular n with its minimizer as l fires.  Proof,
-    with k, b, a_i and the box points as in ``model_V_mld``:
+    Lemma: the singular n of the box are the lifts of the classes of
+    ``singular_classes(d, n_1, eps_prime)``, and the certificate of each,
+    with its minimizer as l, fires.  Proof:
     1. gcd(n_1, n') = gcd(n_1, n' mod n_1), so the lifts of a class are
-       all primitive or all not.
-    2. The b of ``_v_cones`` is integer-linear in n', so b mod n_1, each
-       a_i = (-k b_i) mod n_1 and each numerator k + sum(a_i) depend only
-       on the class.
-    3. The box point p = (k n + sum(a_i h_i))/n_1 has p_1 = k, and a lift
-       moves it by k (0, t), which leaves gcd(p) unchanged: the primitive
-       box points of the lifts match slice by slice and cone by cone,
-       with the same numerators.
-    4. The d+1 rays have numerator n_1 for every lift.
-    The value is the least numerator below ceil(thr n_1) among these
-    candidates, over n_1, or None when there is none; it is the same for
-    every lift.  So no draw with thr > 1 breaks the lemma: the rays then
-    compete, but with the same numerator n_1 for every lift.
-    5. By steps 1-4 a lift is singular exactly when its class is.  For
-       thr <= 1 the rays never compete, so the minimizer l of a singular n
-       is a primitive box point (k n + sum(a_i h_i))/n_1 of a slice
-       1 <= k < n_1: l is vertical, l != n, and its log discrepancy
-       (k + sum(a_i))/n_1, the value, is below thr.  For thr = eps_prime
-       the lemma of ``certify`` then makes the certificate of (n, l) fire.
-    ``scan`` uses thr = eps_prime = eps/(3 d r) <= 1/6.
+       all primitive or all not, and the classes of the primitive n are
+       the rho with gcd(n_1, rho) = 1.
+    2. The lemma of ``singular_classes`` (eps_prime <= 1/6 <= 1) reads n
+       only through n_1 and w = -k n' = -k rho (mod n_1): every lift of a
+       class is singular exactly when the class is listed.
+    3. The minimizer l of a singular n is a primitive box point of a slice
+       1 <= k < n_1 (step 3 of that lemma): l is vertical, l != n, and its
+       log discrepancy, the value, is the a of ``certify`` and below
+       eps_prime.  The lemma of ``certify`` makes the certificate fire.
 
     ``jobs`` caps the worker processes: None (the usable CPUs) or an
     integer >= 1.  The pool maps over the n_1 tasks and starts

@@ -15,16 +15,21 @@ extraction identities and the class split.
 Each fan is built once: ``model_Y`` returns the star subdivision of V that
 made Y, and both checks read V, l and Y off it; W is the ``model_V`` cache
 entry of l, and U the star subdivision of W at n.
+For ``scan``, ``singular_classes`` lists the classes n' mod n_1 whose V
+model has a log discrepancy below a threshold, from the short vectors of
+the V model's lattice, with no fan and no box-point loop.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactmath import (
     InvariantViolation,
@@ -284,6 +289,87 @@ def _fan_coordinates(w: Sequence[int]) -> list[int]:
     the smooth fan of P^{d-1}, all >= 0 and at least one of them 0."""
     y = max(0, -min(w))
     return [wi + y for wi in w] + [y]
+
+
+def _class_solutions(
+    k: int, ws: Sequence[tuple[int, ...]], n1: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (w, rho) with w in ``ws`` and rho in [0, n1)^(d-1) such
+    that k rho = -w (mod n1).  With g = gcd(k, n1) there is none unless g
+    divides every w_i, and then rho_i = -(w_i/g) (k/g)^-1 modulo n1/g,
+    lifted in g ways each."""
+    g = math.gcd(k, n1)
+    m = n1 // g
+    inv = pow(k // g, -1, m)
+    for w in ws:
+        if not any(x % g for x in w):
+            for rho in itertools.product(*(range(-(x // g) * inv % m, n1, m) for x in w)):
+                yield w, rho
+
+
+def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
+    """The classes rho in [0, n1)^(d-1) with gcd(n1, rho) = 1 for which
+    ``model_V_mld_below(d, (n1,) + rho, thr)`` is not None, for
+    0 < thr <= 1, found without visiting the other classes.
+
+    Write psi(w) = sum(``_fan_coordinates(w)``) = sum(w) +
+    d max(0, -min(w)) for w in Z^(d-1): the support function of the fan of
+    P^(d-1) on H = (e_2, ..., e_d, c), linear on its cones, 1 on each h_i,
+    positively homogeneous and >= max|w_i|.  Let C = ceil(thr n1).
+
+    Lemma: for primitive n = (n1, n') with class rho = n' mod n1,
+    ``model_V_mld_below(d, n, thr)`` is not None exactly when some
+    (k, w) in Z x Z^(d-1) has k >= 1, k + psi(w) < C and k rho = -w
+    (mod n1).  Proof:
+    1. The support of V_n is x_1 >= 0: for p_1 >= 0,
+       p = (p_1/n1) n + (0, p' - p_1 n'/n1), and the second term lies in
+       a cone of the fan of P^(d-1) in x_1 = 0.
+    2. For a nonzero lattice point p with k = p_1 >= 0 let
+       w = n1 p' - k n', so
+       w = -k n' = -k rho (mod n1), and p -> w is one to one on the slice.
+       With A = ``_fan_coordinates(w)``, n1 p = k n + sum(A_i h_i), so
+       p = (k/n1) n + sum((A_i/n1) h_i) on the cone <n, H minus h_m> of an
+       h_m with A_m = 0; its log discrepancy with zero boundary is
+       (k + psi(w))/n1.  As w mentions n' only mod n1, all lifts of a class
+       share these values.
+    3. A point with value < thr <= 1 has k < n1 and every A_i < n1: it is
+       a box point of slice k of that cone, the one ``model_V_mld`` builds
+       with a = A.  And k >= 1: for k = 0, w = n1 p' with p' != 0 has
+       psi(w) >= n1.
+    4. A non-primitive p = m q, m >= 2, has q_1 = k/m >= 0 (step 1) and
+       q_1 != 0 (else k = 0), so q_1 >= 1, and q has the smaller value
+       (k + psi(w))/(m n1).
+    If (k, w) exists, its point p has value < thr, so by steps 4 and 3 a
+    primitive box point of slice >= 1 has numerator < C, and
+    ``model_V_mld_below`` compares it (its lemma), so it is not None.
+    Conversely what it returns, for thr <= 1 where the rays do not enter,
+    is a primitive box point of slice k >= 1 and numerator
+    k + sum(a) = k + psi(w) < C (step 2), so (k, w) exists.
+
+    Every such (k, w) has w != 0: k rho = 0 (mod n1) with gcd(n1, rho) = 1
+    forces n1 | k, but k < C <= n1.  So psi(w) >= 1, k <= C - 2 and
+    |w_i| <= psi(w) <= C - k - 1.  The search runs over that box, keeps the
+    w with k + psi(w) < C, solves each congruence by ``_class_solutions``
+    and keeps the primitive solutions.  Every solution is checked against
+    its congruence, and one that fails raises ``InvariantViolation``.
+    """
+    thr = ensure_rational(thr)
+    if not 0 < thr <= 1:
+        raise ValueError("thr must lie in (0, 1]")
+    cap = -(-thr.numerator * n1 // thr.denominator)
+    box = itertools.product(range(2 - cap, cap - 1), repeat=d - 1)
+    ball = sorted((sum(_fan_coordinates(w)), w) for w in box if any(w))
+    psis = [psi for psi, _ in ball]
+    ws = [w for _, w in ball]
+    found = set()
+    for k in range(1, cap - 1):
+        for w, rho in _class_solutions(k, ws[: bisect.bisect_left(psis, cap - k)], n1):
+            for r, x in zip(rho, w):
+                if (k * r + x) % n1:
+                    raise InvariantViolation("a solved class does not satisfy k rho = -w (mod n_1)")
+            if math.gcd(n1, *rho) == 1:
+                found.add(rho)
+    return found
 
 
 def decompose(d: int, n: Sequence[int], l: Sequence[int]) -> DecompositionData:

@@ -12,8 +12,12 @@ sympy instead of enumerating facet hyperplanes.  The certificate oracle
 reads both decompositions off the smallest containing cones of the built
 V and W fans instead of the closed form, and glues them in Fractions.
 The scan oracle classifies and certifies every primitive n of the box one
-at a time instead of once per residue class.  The cofactor adjugate takes
-n^2 determinants where ``exactmath.inverse`` runs one elimination.  The
+at a time instead of once per residue class, and the class oracle
+classifies every primitive residue class by the box-point loop of
+``model_V_mld_below`` where ``scan`` enumerates the singular classes from
+short lattice vectors and counts the total by Moebius inversion.  The
+cofactor adjugate takes n^2 determinants where ``exactmath.inverse`` runs
+one elimination.  The
 sublattice index, the oracle of ``fan.multiplicity``, is the product of
 the Smith invariant factors where ``multiplicity`` takes the gcd of the
 maximal minors.  The
@@ -26,13 +30,16 @@ plan.
 The fiber divisor and multiplicity, the eps-lc predicate and the check of
 a report's explicit bounds feed no result of the package and live here,
 where the tests still read them, as do the inputs several test files
-share: the benchmark's user-fan pool and random full-dimensional cones.
+share: the benchmark's user-fan pool and random full-dimensional cones,
+and ``rebind_everywhere``, with which guard tests replace a function in
+every toricfib module that holds it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction
 from dataclasses import fields, is_dataclass
 from itertools import product
@@ -47,6 +54,7 @@ from toricfib.criterion import (
     CertificateReport,
     ExplicitBounds,
     ScanSummary,
+    _lift_range,
     epsilon_prime,
 )
 from toricfib.divisors import (
@@ -75,6 +83,15 @@ from toricfib.models import DecompositionData, FibrationModel, decompose, model_
 # The mld-userfan pool of the benchmark: 300 user fans in dimension 3,
 # read only.
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "userfan_d3.json"
+
+
+def rebind_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind every name of every toricfib module bound to ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "toricfib" or name.startswith("toricfib."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def pool_fan_doc(entry: dict) -> dict:
@@ -440,6 +457,41 @@ def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
         singular=len(reports),
         fired=sum(1 for rep in reports if rep.fires),
         failures=tuple(rep for rep in reports if not rep.fires),
+    )
+
+
+def class_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
+    """``criterion.scan`` one primitive residue class at a time: every
+    rho in [0, n_1)^(d-1) with gcd(n_1, rho) = 1 is weighted by its lifts
+    in the box (``_lift_range``) and classified by ``model_V_mld_below``
+    at eps_prime, whose minimizer must then be vertical."""
+    eps = Fraction(eps)
+    eps_p = epsilon_prime(d, r, eps)
+    total = singular = 0
+    for n1 in range(1, bound + 1):
+        counts = [len(_lift_range(x, n1, bound)) for x in range(n1)]
+        for rho in product(range(n1), repeat=d - 1):
+            if math.gcd(n1, *rho) != 1:
+                continue
+            weight = math.prod(counts[x] for x in rho)
+            total += weight
+            below = model_V_mld_below(d, (n1,) + rho, eps_p)
+            if below is None:
+                continue
+            if below[1][0] <= 0:
+                raise InvariantViolation("an mld minimizer below the threshold must be vertical")
+            singular += weight
+    return ScanSummary(
+        d=d,
+        r=r,
+        eps=eps,
+        eps_prime=eps_p,
+        bound=bound,
+        total=total,
+        epsilon_lc=total - singular,
+        singular=singular,
+        fired=singular,
+        failures=(),
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import rebind_everywhere
 
 from toricfib import cli, criterion, exactmath, models, serialize, surface
 from toricfib.exactmath import InvariantViolation
@@ -549,12 +551,7 @@ SMITH_FREE_RUNS = (
     "argv,text,fan", SMITH_FREE_RUNS, ids=[f"{argv[0]}{argv[1]}-{i}" for i, (argv, _, _) in enumerate(SMITH_FREE_RUNS)]
 )
 def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv, text, fan):
-    original = exactmath.smith_normal_form
-    for name, module in list(sys.modules.items()):
-        if name == "toricfib" or name.startswith("toricfib."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, _no_smith_normal_form)
+    rebind_everywhere(monkeypatch, exactmath.smith_normal_form, _no_smith_normal_form)
     if fan is not None:
         path = tmp_path / "fan.json"
         path.write_text(json.dumps(fan))
@@ -562,6 +559,26 @@ def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv
     assert cli.main(argv) == cli.EXIT_OK
     out, err = capsys.readouterr()
     assert out == text
+    assert err == ""
+
+
+def _no_box_loop(*args, **kwargs):
+    raise AssertionError("scan ran the box-point loop")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_runs_no_box_loop(monkeypatch, capsys, jobs):
+    # scan enumerates the singular classes, so the box-point loop of
+    # model_V_mld_below never runs.  --jobs 1 runs the sweep in this
+    # process.  --jobs 2 checks the workers only where the pool has two and
+    # forks them, so that they inherit the rebinding; elsewhere it would
+    # pass without checking them, so it is skipped.
+    if jobs == "2" and (len(os.sched_getaffinity(0)) < 2 or multiprocessing.get_start_method() != "fork"):
+        pytest.skip("the pool does not fork two workers on this host")
+    rebind_everywhere(monkeypatch, models._v_box_minimum, _no_box_loop)
+    assert cli.main(SCAN_D2 + ["--jobs", jobs]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == _golden(SCAN_D2_DOC, SCAN_LEGEND)
     assert err == ""
 
 

@@ -2,29 +2,33 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     box_scan,
+    class_scan,
     fan_certify,
     fan_decomposition,
     fraction_certify,
     fraction_decomposition_checks,
     fraction_report_checks,
     primitive_family,
+    rebind_everywhere,
     scan_instance,
     verify_explicit_bounds,
 )
 
-from toricfib import criterion, divisors, fan, serialize
+from toricfib import criterion, divisors, fan, models, serialize
 from toricfib.criterion import (
     _lift_range,
+    _primitive_count,
     certify,
     epsilon_prime,
     scan,
@@ -669,6 +673,17 @@ def cached_box_scan(d, r, eps, bound):
     return box_scan(d, r, eps, bound)
 
 
+# (d, r, eps, bound) beyond the reach of box_scan: (3, 1, 1, 40) has 1,632
+# singular instances, (2, 1, 1/2, 150) 8,292 and (4, 1, 1, 25) 62, all with
+# n_1 = 25, the first singular n_1 at d = 4
+CLASS_FAMILIES = [(3, 1, Fraction(1), 40), (2, 1, Fraction(1, 2), 150), (4, 1, Fraction(1), 25)]
+
+
+@functools.lru_cache(maxsize=None)
+def cached_class_scan(d, r, eps, bound):
+    return class_scan(d, r, eps, bound)
+
+
 class TestScanByResidueClass:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("d,r,eps,bound", ORACLE_FAMILIES)
@@ -677,23 +692,59 @@ class TestScanByResidueClass:
 
     def test_no_singular_class_is_certified(self, monkeypatch):
         # scan(2, 1, 1/2, 40) has 112 singular instances in 40 classes; the
-        # lifts are not classified, and no class is certified
+        # singular classes are enumerated, so no class is certified and
+        # none goes through the box-point loop
         calls = []
-        for name in ("certify", "model_V_mld_below"):
-            original = getattr(criterion, name)
+        for original in (criterion.certify, models.model_V_mld_below, models._v_box_minimum):
 
-            def counting(*args, original=original, name=name):
-                calls.append(name)
+            def counting(*args, original=original):
+                calls.append(original.__name__)
                 return original(*args)
 
-            monkeypatch.setattr(criterion, name, counting)
+            rebind_everywhere(monkeypatch, original, counting)
         summary = scan(2, 1, Fraction(1, 2), 40, jobs=1)
         assert (summary.singular, summary.fired) == (112, 112)
-        assert (calls.count("certify"), calls.count("model_V_mld_below")) == (0, 444)
+        assert (calls.count("certify"), len(calls) - calls.count("certify")) == (0, 0)
 
     def test_oracle_families_reach_the_singular_stratum(self):
         summary = cached_box_scan(3, 1, Fraction(1), 24)
         assert (summary.singular, summary.fired) == (151, 151)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("d,r,eps,bound", CLASS_FAMILIES)
+    def test_equals_the_class_scan(self, d, r, eps, bound, jobs):
+        assert scan(d, r, eps, bound, jobs=jobs) == cached_class_scan(d, r, eps, bound)
+
+    def test_class_families_reach_the_singular_stratum(self):
+        assert [cached_class_scan(*family).singular for family in CLASS_FAMILIES] == [1632, 8292, 62]
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 25),
+        st.one_of(
+            st.just(1),
+            st.builds(pow, st.sampled_from([2, 3, 5, 7]), st.integers(1, 5)),
+            st.integers(1, 60),
+            st.integers(26, 10 ** 6),
+        ),
+    )
+    @example(5, 25, 1)
+    @example(4, 25, 2 ** 5)
+    @example(3, 1, 3 ** 4)
+    @example(5, 12, 2 * 3 * 5 * 7)
+    @settings(max_examples=150, deadline=None)
+    def test_primitive_count_is_the_brute_count(self, d, bound, n1):
+        # the primitive n of the box, counted coordinate by coordinate by
+        # the gcd of n_1 and the coordinates so far
+        counts = {n1: 1}
+        for _ in range(d - 1):
+            step = {}
+            for g, c in counts.items():
+                for x in range(-bound, bound + 1):
+                    h = math.gcd(g, x)
+                    step[h] = step.get(h, 0) + c
+            counts = step
+        assert _primitive_count(d, n1, bound) == counts.get(1, 0)
 
     @pytest.mark.parametrize("bound", [1, 2, 7, 40])
     def test_lift_range_is_the_filtered_box(self, bound):
@@ -724,7 +775,7 @@ class TestScanByResidueClass:
             return
         assert below[0] == lifted[0]
         # the minimizer is vertical and moves by k (0, t), which the direct
-        # enumeration of singular classes (ROADMAP item 3) builds on
+        # enumeration of singular classes (ROADMAP item 4) builds on
         (k, *m), n1 = below[1], n[0]
         assert k > 0
         assert lifted[1] == (k,) + tuple(mi + k * ((y - x) // n1) for mi, x, y in zip(m, n[1:], lift[1:]))

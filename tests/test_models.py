@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -13,6 +15,7 @@ from oracles import (
 )
 
 from toricfib import models
+from toricfib.criterion import scan
 from toricfib.divisors import log_discrepancy, toric_mld, zero_divisor
 from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.fan import multiplicity, standard_fibration_fan
@@ -25,6 +28,7 @@ from toricfib.models import (
     model_V_mld_below,
     model_W_U,
     model_Y,
+    singular_classes,
     verify_extraction_identities,
 )
 
@@ -209,6 +213,53 @@ class TestModelVMldBelow:
     def test_float_threshold_rejected(self):
         with pytest.raises(TypeError, match="floating point"):
             model_V_mld_below(2, (5, 1), 0.5)
+
+
+def classified_classes(d, n1, thr):
+    """The oracle: every primitive class of n1 classified by the box loop."""
+    return {
+        rho
+        for rho in itertools.product(range(n1), repeat=d - 1)
+        if math.gcd(n1, *rho) == 1 and model_V_mld_below(d, (n1,) + rho, thr) is not None
+    }
+
+
+class TestSingularClasses:
+    @given(st.integers(0, 10 ** 6), st.integers(1, 12), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_classified_classes(self, seed, p, q):
+        # thr = p/q in (0, 1], where the lemma of singular_classes holds
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n1 = rng.randint(1, {2: 150, 3: 24, 4: 10}[d])
+        thr = Fraction(min(p, q), max(p, q))
+        assert singular_classes(d, n1, thr) == classified_classes(d, n1, thr)
+
+    @pytest.mark.parametrize("d,n1,thr", [(2, 25, Fraction(1, 12)), (3, 109, Fraction(1, 54))])
+    def test_equals_the_classified_classes_at_the_first_singular_n1(self, d, n1, thr):
+        # n_1 = floor(2/thr) + 1, the first n_1 with a singular class; d = 4
+        # at n_1 = 25 is in the class-oracle families of test_criterion
+        classes = singular_classes(d, n1, thr)
+        assert classes and classes == classified_classes(d, n1, thr)
+        assert not singular_classes(d, n1 - 1, thr)
+
+    @pytest.mark.parametrize("thr", [0, Fraction(-1, 2), Fraction(3, 2), 2])
+    def test_threshold_outside_the_lemma_rejected(self, thr):
+        with pytest.raises(ValueError, match="thr must lie in"):
+            singular_classes(2, 30, thr)
+
+    def test_corrupted_solve_trips_the_congruence_check(self, monkeypatch):
+        solve = models._class_solutions
+
+        def corrupted(k, ws, n1):
+            return [(w, ((rho[0] + 1) % n1,) + rho[1:]) for w, rho in solve(k, ws, n1)]
+
+        monkeypatch.setattr(models, "_class_solutions", corrupted)
+        with pytest.raises(InvariantViolation, match="does not satisfy"):
+            singular_classes(3, 109, Fraction(1, 54))
+        # n_1 = 25 and 26 have singular classes at eps' = 1/12
+        with pytest.raises(InvariantViolation, match="does not satisfy"):
+            scan(2, 1, Fraction(1, 2), 26, jobs=1)
 
 
 class TestModelY:
