@@ -12,12 +12,12 @@ strict inequality (the lemma of ``certify``), and ``scan`` sweeps whole
 families counting the instances below it, one n_1 at a time and without
 visiting the residue classes n' mod n_1 one by one.  It counts the
 primitive n of the box by Moebius inversion over the primes of n_1, and
-the singular ones as the lifts of the classes that
-``models.singular_classes`` enumerates from the short vectors (k, w),
-w = -k n' (mod n_1), of the V model's lattice: whether n is eps'-lc
-depends on n only through n_1 and n' mod n_1.  A singular n needs no
-certificate: its minimizer has a < eps', where the certificate always
-fires.  No n_1 <= 2/eps' has a singular class.
+the singular ones, those whose ``models.model_V_mld`` is below eps', as
+the lifts of the classes that ``models.singular_classes`` enumerates from
+the short vectors (k, w), w = -k n' (mod n_1), of the V model's lattice:
+whether n is eps'-lc depends on n only through n_1 and n' mod n_1.  A
+singular n needs no certificate: its minimizer has a < eps', where the
+certificate always fires.  No n_1 <= 2/eps' has a singular class.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -232,13 +232,14 @@ def certify(
 class ScanSummary:
     """Outcome of sweeping all primitive n with 0 < n_1 <= bound and
     |n_i| <= bound: ``total`` of them, counted by Moebius inversion, of
-    which ``singular`` are the lifts of the enumerated singular classes and
-    ``epsilon_lc`` the rest.  The eps_prime-lc ones have fiber multiplicity
-    bounded by the external boundedness theorem and nothing to certify; for
-    a singular one the mld minimizer is taken as l and the certificate
-    fires by the lemma of ``certify``, so ``scan`` reports
-    fired = singular and no failures.  ``failures`` would hold the reports
-    of non-firing singular instances."""
+    which ``singular`` have ``models.model_V_mld`` below eps_prime, counted
+    as the lifts of the enumerated singular classes, and ``epsilon_lc`` are
+    the rest.  The eps_prime-lc ones have fiber multiplicity bounded by the
+    external boundedness theorem and nothing to certify; for a singular
+    one the mld minimizer is taken as l and the certificate fires by the
+    lemma of ``certify``, so ``scan`` reports fired = singular and no
+    failures.  ``failures`` would hold the reports of non-firing singular
+    instances."""
 
     d: int
     r: int
@@ -300,10 +301,10 @@ def scan(
 ) -> ScanSummary:
     """Count every primitive n with 0 < n_1 <= bound and |n_i| <= bound,
     and the eps_prime-lc and the singular ones among them.  An n is
-    eps_prime-lc when ``model_V_mld_below(d, n, eps_prime)`` finds no value
-    below eps_prime; otherwise its minimizer is l, and the certificate of
-    (n, l) fires (step 3), so ``fired`` is ``singular`` and there are no
-    failures: no certificate is computed.
+    eps_prime-lc when ``models.model_V_mld(d, n)`` is at least eps_prime;
+    otherwise its minimizer is l, and the certificate of (n, l) fires
+    (step 3), so ``fired`` is ``singular`` and there are no failures: no
+    certificate and no mld is computed.
 
     The sweep runs one task per n_1.  Write n = (n_1, n') and
     rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
@@ -324,8 +325,8 @@ def scan(
        only through n_1 and w = -k n' = -k rho (mod n_1): every lift of a
        class is singular exactly when the class is listed.
     3. The minimizer l of a singular n is a primitive box point of a slice
-       1 <= k < n_1 (step 3 of that lemma): l is vertical, l != n, and its
-       log discrepancy, the value, is the a of ``certify`` and below
+       1 <= k < n_1 (the proof of that lemma): l is vertical, l != n, and
+       its log discrepancy, the value, is the a of ``certify`` and below
        eps_prime.  The lemma of ``certify`` makes the certificate fire.
 
     ``jobs`` caps the worker processes: None (the usable CPUs) or an

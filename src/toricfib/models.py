@@ -15,9 +15,12 @@ extraction identities and the class split.
 Each fan is built once: ``model_Y`` returns the star subdivision of V that
 made Y, and both checks read V, l and Y off it; W is the ``model_V`` cache
 entry of l, and U the star subdivision of W at n.
-For ``scan``, ``singular_classes`` lists the classes n' mod n_1 whose V
-model has a log discrepancy below a threshold, from the short vectors of
-the V model's lattice, with no fan and no box-point loop.
+The V model is read in one form, the lattice of the pairs (k, w) with
+w = -k n' (mod n_1), on which a point of the support has log discrepancy
+(k + psi(w))/n_1 (the lemma of ``model_V_mld``): ``model_V_mld`` takes
+the minimum over the few box points of each slice k, and, for ``scan``,
+``singular_classes`` lists the classes n' mod n_1 whose V model has a log
+discrepancy below a threshold from the short vectors (k, w), with no fan.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,18 +158,20 @@ def model_V(d: int, n: Sequence[int]) -> FibrationModel:
     return FibrationModel(fibration_fan(d, vec), vec)
 
 
-def _v_cones(
-    vec: LatticeVector, horizontal: tuple[LatticeVector, ...]
-) -> list[tuple[tuple[LatticeVector, ...], tuple[int, ...]]]:
-    """For each maximal cone <n, H minus h_j> of the V model, its horizontal
-    rays and the integer coordinates b of n' = n[1:] in them: b = n' when c
-    is dropped; b_i = n'_i - n'_j and b_c = -n'_j when e_j is dropped."""
-    tail = vec[1:]
-    cones = [(horizontal[:-1], tail)]
-    for j, nj in enumerate(tail):
-        b = tuple(ni - nj for i, ni in enumerate(tail) if i != j) + (-nj,)
-        cones.append((horizontal[:j] + horizontal[j + 1 :], b))
-    return cones
+def _slice_candidates(vec: LatticeVector, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The pairs (k + psi(w), w) of the box points of slice k of the V model
+    of ``vec``, as the lemma of ``model_V_mld`` lists them: w = s with
+    s = (-k n') mod n_1, and w = s - n_1 [s >= t] for each value t > 0 of
+    s."""
+    n1, d = vec[0], len(vec)
+    s = [(-k * ni) % n1 for ni in vec[1:]]
+    base = k + sum(s)
+    candidates = [(base, tuple(s))]
+    for t in set(s) - {0}:
+        above = [x >= t for x in s]
+        w = tuple([x - n1 if up else x for x, up in zip(s, above)])
+        candidates.append((base - n1 * sum(above) + d * (n1 - t), w))
+    return candidates
 
 
 def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
@@ -177,110 +181,83 @@ def model_V_mld(d: int, n: Sequence[int]) -> tuple[Rat, LatticeVector]:
     integers from n alone, with no fan, Smith normal form or rational
     elimination.  Raises the ``ValueError``s of ``model_V``.
 
-    Let H = (e_2, ..., e_d, c) be the horizontal rays and h_j one of them.
-    They span the smooth fan of P^{d-1} in the hyperplane x_1 = 0, so the
-    d-1 rays of H minus h_j are a lattice basis of that hyperplane; let b
-    be the coordinates of n' = n[1:] in it (see ``_v_cones``).
+    Let H = (e_2, ..., e_d, c) be the horizontal rays, which span the
+    smooth fan of P^(d-1) in x_1 = 0 with the one relation sum(h) = 0.
+    Write psi(w) = sum(``_fan_coordinates(w)``) = sum(w) + d max(0, -min(w))
+    for w in Z^(d-1): the support function of that fan, linear on its
+    cones, 1 on each h_i, positively homogeneous and >= max|w_i|.  Write
+    n = (n_1, n').
 
-    Claim: for each maximal cone sigma_j = <n, H minus h_j> and each
-    k = 0, ..., n_1 - 1 the half-open box of sigma_j holds exactly one
-    point with first coordinate k.  Proof: a box point is
-    p = g n + sum(alpha_i h_i) with 0 <= g, alpha_i < 1.  The h_i have
-    first coordinate 0, so p_1 = g n_1 and g = k/n_1 for an integer k in
-    [0, n_1).  The rest of p is sum((k b_i / n_1 + alpha_i) h_i), and since
-    the h_i are a lattice basis it is integral exactly when every
-    k b_i / n_1 + alpha_i is an integer.  With 0 <= alpha_i < 1 that forces
-    alpha_i = a_i / n_1 with a_i = (-k b_i) mod n_1, and this choice is a
-    lattice point.  So the point is (k n + sum(a_i h_i)) / n_1 with log
-    discrepancy (k + sum(a_i)) / n_1, and k = 0 gives the origin.
+    Lemma (the lattice form): the log discrepancy with zero boundary of a
+    lattice point p of V_n is (k + psi(w))/n_1 with k = p_1 and
+    w = n_1 p' - k n', and p -> (k, w) maps the lattice points of the
+    support one to one onto the (k, w) with k >= 0 and w = -k n'
+    (mod n_1), with inverse p = (k, (k n' + w)/n_1).  Proof:
+    1. The support of V_n is x_1 >= 0: for p_1 >= 0,
+       p = (p_1/n_1) n + (0, p' - p_1 n'/n_1), and the second term lies in
+       a cone of the fan of P^(d-1) in x_1 = 0.
+    2. For a lattice point p with k = p_1 >= 0, w = n_1 p' - k n' is
+       congruent to -k n' mod n_1, and p is read back from (k, w).  With
+       A = ``_fan_coordinates(w)``, n_1 p = k n + sum(A_i h_i), so
+       p = (k/n_1) n + sum((A_i/n_1) h_i) on the cone <n, H minus h_m> of
+       an h_m with A_m = 0, and its log discrepancy is (k + psi(w))/n_1.
+    3. Those are the coordinates of p on every maximal cone
+       sigma_j = <n, H minus h_j> that holds it: its coordinates a/n_1 on
+       H minus h_j, extended by a_j = 0, have sum(a_i h_i) = w, so by the
+       one relation a = A + c (1, ..., 1); a_m >= 0 gives c >= 0 and
+       a_j = 0 gives c <= 0.  So p is a point of the half-open box of a
+       cone exactly when k < n_1 and every A_i < n_1.
+    4. A non-primitive p = m q, m >= 2, has q_1 = k/m >= 0 (step 1), and
+       q_1 >= 1 unless k = 0, and q has the smaller value
+       (k + psi(w))/(m n_1).
 
-    Every nonzero box point therefore has k >= 1 and value >= 1/n_1, and
-    the rays have value 1, so mld(V_n) >= 1/n_1.
+    Claim (the candidates): for 0 <= k < n_1 let s = (-k n') mod n_1 in
+    [0, n_1)^(d-1).  The box points of slice k, over all d cones, are the
+    points of w = s, with numerator k + sum(s), and of w = s - n_1 [s >= t]
+    for each value t > 0 of s, with numerator
+    k + sum(s) - n_1 #{i : s_i >= t} + d (n_1 - t).  Proof: by step 3 they
+    are the w = s (mod n_1) with y = max(0, -min(w)) < n_1 and every
+    w_i + y < n_1.  If y = 0, 0 <= w_i < n_1 forces w = s.  If y > 0, each
+    w_i lies in [-y, n_1 - y), which holds one residue of s_i, so
+    w_i = s_i - n_1 [s_i >= t] with t = n_1 - y in (0, n_1); and
+    min(w) = -y makes t a value of s.  Conversely for such a t the
+    smallest w_i is t - n_1, and w_i + n_1 - t < n_1 for every i, as
+    w_i < t.  Then psi(w) = sum(w) + d (n_1 - t).
 
-    As in ``toric_mld``, non-primitive points are skipped and the d+1 rays
-    enter with value 1 = n_1/n_1.  All values share the denominator n_1,
-    so the minimum over (numerator, point) is the tie rule of
-    ``toric_mld``.  This is ``model_V_mld_below`` with no threshold: the
-    rays always compete, and its lemma bounds the slices visited by the
-    running minimum.  Every division by n_1 is checked, for every point
-    built, and a remainder raises ``InvariantViolation``.
+    Every nonzero box point has k >= 1 and numerator >= k + 1: k = 0 gives
+    s = 0 and y = 0, the origin, and for 1 <= k < n_1, w = 0 would make
+    n_1 divide k n_i for every i and so k, n being primitive; so w != 0 and
+    psi(w) >= max|w_i| >= 1.  So mld(V_n) >= 1/n_1.
+
+    As in ``toric_mld``, the d+1 rays enter with value 1 = n_1/n_1 and
+    non-primitive points are skipped.  All values share the denominator
+    n_1, so the minimum over (numerator, point) is the tie rule of
+    ``toric_mld``.  The search keeps the best (numerator, point) so far,
+    starting from the rays, and visits slice k only while k < the best
+    numerator <= n_1: every candidate of slice k and of the slices after it
+    has numerator > k, so once k reaches the best numerator none of them
+    beats or ties it.  A candidate whose numerator is above the best is
+    not built.  Every division by n_1 is checked, for every point built,
+    and a remainder raises ``InvariantViolation``.
     """
     vec = _v_vector(d, n, "n")
-    return _v_box_minimum(d, vec, vec[0] + 1)
-
-
-def model_V_mld_below(
-    d: int, n: Sequence[int], thr: int | Rat
-) -> tuple[Rat, LatticeVector] | None:
-    """``model_V_mld(d, n)`` when its value is below ``thr``, else None,
-    visiting only the slices k < thr n_1 of the box points.  Raises the
-    ``ValueError``s of ``model_V`` for n.
-
-    Lemma: with k, a_i and the slices as in ``model_V_mld``, a box point of
-    slice k with 1 <= k < n_1 has numerator k + sum(a_i) >= k + 1.  Proof:
-    the a_i are >= 0, and if they were all 0 the point k n / n_1 would be
-    a lattice point, so n_1 would divide k n_i for every i; n is primitive,
-    so n_1 would divide k, which lies strictly between 0 and n_1.
-
-    Every value is a numerator over n_1, so with thr = p/q a value is
-    below thr exactly when num q < p n_1, that is when num < C with
-    C = ceil(p n_1 / q); C is computed once in integers, and no
-    ``Fraction`` enters the loop.  The search keeps the best (numerator,
-    point) so far, starting from the bound (C, ()), which no candidate of
-    numerator >= C beats.  It visits slice k only while k < the best
-    numerator: by the lemma every candidate of slice k and of the slices
-    after it has numerator > k, so once k reaches the best numerator none
-    of them is below the bound or ties the best.  In particular only
-    slices with k < C, that is k < thr n_1, are visited, and none when
-    C <= 1.  The d+1 rays have numerator n_1 and enter only when n_1 < C,
-    that is when 1 < thr.  So every candidate of value below thr is
-    compared, and since all values share the denominator n_1, tied
-    candidates share a numerator and the (numerator, point) tie rule of
-    ``model_V_mld`` picks the same minimizer.  Every point built is still
-    checked by the division by n_1.
-    """
-    vec = _v_vector(d, n, "n")
-    thr = ensure_rational(thr)
-    cap = -(-thr.numerator * vec[0] // thr.denominator)
-    return _v_box_minimum(d, vec, cap)
-
-
-def _v_box_minimum(
-    d: int, vec: LatticeVector, cap: int
-) -> tuple[Rat, LatticeVector] | None:
-    """The (value, minimizer) of ``model_V_mld`` over the candidates of
-    numerator below ``cap``, or None when there is none; the box-point
-    loop of both functions, proved in their docstrings."""
-    n1 = vec[0]
-    if cap <= 1:
-        return None
-    horizontal = horizontal_rays(d)
-    best: tuple[int, LatticeVector] = (cap, ())
-    if n1 < cap:
-        best = min((n1, ray) for ray in (vec,) + horizontal)
-    # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
-    cones = [
-        ([(ni, hs) for ni, *hs in zip(vec, *rays)], b)
-        for rays, b in _v_cones(vec, horizontal)
-    ]
-    mul = operator.mul
+    n1, tail = vec[0], vec[1:]
+    best = min((n1, ray) for ray in (vec,) + horizontal_rays(d))
     for k in range(1, n1):
         if k >= best[0]:
             break
-        for rows, b in cones:
-            a = [(-k * bi) % n1 for bi in b]
-            point = []
-            for ni, hs in rows:
-                q, rem = divmod(k * ni + sum(map(mul, a, hs)), n1)
+        for num, w in _slice_candidates(vec, k):
+            if num > best[0]:
+                continue
+            point = [k]
+            for ni, wi in zip(tail, w):
+                q, rem = divmod(k * ni + wi, n1)
                 if rem:
                     raise InvariantViolation("a V-model box point is not a lattice point")
                 point.append(q)
-            if math.gcd(*point) == 1:
-                candidate = (k + sum(a), tuple(point))
-                if candidate < best:
-                    best = candidate
-    if not best[1]:
-        return None
+            candidate = (num, tuple(point))
+            if math.gcd(*point) == 1 and candidate < best:
+                best = candidate
     return Fraction(best[0], n1), best[1]
 
 
@@ -309,45 +286,27 @@ def _class_solutions(
 
 def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
     """The classes rho in [0, n1)^(d-1) with gcd(n1, rho) = 1 for which
-    ``model_V_mld_below(d, (n1,) + rho, thr)`` is not None, for
-    0 < thr <= 1, found without visiting the other classes.
-
-    Write psi(w) = sum(``_fan_coordinates(w)``) = sum(w) +
-    d max(0, -min(w)) for w in Z^(d-1): the support function of the fan of
-    P^(d-1) on H = (e_2, ..., e_d, c), linear on its cones, 1 on each h_i,
-    positively homogeneous and >= max|w_i|.  Let C = ceil(thr n1).
+    ``model_V_mld(d, (n1,) + rho)[0] < thr``, for 0 < thr <= 1, found
+    without visiting the other classes.  psi is the support function of
+    the lemma of ``model_V_mld``; let C = ceil(thr n1).
 
     Lemma: for primitive n = (n1, n') with class rho = n' mod n1,
-    ``model_V_mld_below(d, n, thr)`` is not None exactly when some
-    (k, w) in Z x Z^(d-1) has k >= 1, k + psi(w) < C and k rho = -w
-    (mod n1).  Proof:
-    1. The support of V_n is x_1 >= 0: for p_1 >= 0,
-       p = (p_1/n1) n + (0, p' - p_1 n'/n1), and the second term lies in
-       a cone of the fan of P^(d-1) in x_1 = 0.
-    2. For a nonzero lattice point p with k = p_1 >= 0 let
-       w = n1 p' - k n', so
-       w = -k n' = -k rho (mod n1), and p -> w is one to one on the slice.
-       With A = ``_fan_coordinates(w)``, n1 p = k n + sum(A_i h_i), so
-       p = (k/n1) n + sum((A_i/n1) h_i) on the cone <n, H minus h_m> of an
-       h_m with A_m = 0; its log discrepancy with zero boundary is
-       (k + psi(w))/n1.  As w mentions n' only mod n1, all lifts of a class
-       share these values.
-    3. A point with value < thr <= 1 has k < n1 and every A_i < n1: it is
-       a box point of slice k of that cone, the one ``model_V_mld`` builds
-       with a = A.  And k >= 1: for k = 0, w = n1 p' with p' != 0 has
-       psi(w) >= n1.
-    4. A non-primitive p = m q, m >= 2, has q_1 = k/m >= 0 (step 1) and
-       q_1 != 0 (else k = 0), so q_1 >= 1, and q has the smaller value
-       (k + psi(w))/(m n1).
-    If (k, w) exists, its point p has value < thr, so by steps 4 and 3 a
-    primitive box point of slice >= 1 has numerator < C, and
-    ``model_V_mld_below`` compares it (its lemma), so it is not None.
-    Conversely what it returns, for thr <= 1 where the rays do not enter,
-    is a primitive box point of slice k >= 1 and numerator
-    k + sum(a) = k + psi(w) < C (step 2), so (k, w) exists.
+    ``model_V_mld(d, n)[0] < thr`` exactly when some (k, w) in
+    Z x Z^(d-1) has k >= 1, k + psi(w) < C and k rho = -w (mod n1).
+    Proof: by the lemma of ``model_V_mld``, such a (k, w) is a nonzero
+    point p of the support of V_n, as w = -k n' (mod n1), with value
+    (k + psi(w))/n1 < thr.  By its step 4, p divided by its content is a
+    primitive point q with q_1 >= 1 and a value at most that.  As
+    thr <= 1 the numerator of q is < n1, so q_1 < n1 and so is every
+    coordinate of ``_fan_coordinates`` of the w of q, and by step 3 q is a
+    box point, which ``model_V_mld`` compares: the mld is < thr.
+    Conversely, a value < thr <= 1 is not that of a ray, so the minimizer
+    is a primitive box point of a slice k >= 1, and its (k, w) has
+    k + psi(w) < C.  As w mentions n' only mod n1, all lifts of a class
+    share the verdict.
 
-    Every such (k, w) has w != 0: k rho = 0 (mod n1) with gcd(n1, rho) = 1
-    forces n1 | k, but k < C <= n1.  So psi(w) >= 1, k <= C - 2 and
+    Every such (k, w) has w != 0: w = 0 would make n1 divide k rho, and so
+    k, but 1 <= k < C <= n1.  So psi(w) >= 1, k <= C - 2 and
     |w_i| <= psi(w) <= C - k - 1.  The search runs over that box, keeps the
     w with k + psi(w) < C, solves each congruence by ``_class_solutions``
     and keeps the primitive solutions.  Every solution is checked against

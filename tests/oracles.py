@@ -11,11 +11,15 @@ face-compatibility oracle solves a linear program over the rationals with
 sympy instead of enumerating facet hyperplanes.  The certificate oracle
 reads both decompositions off the smallest containing cones of the built
 V and W fans instead of the closed form, and glues them in Fractions.
+The V-model mld oracle ``box_mld_below`` walks the half-open box of
+each of the d maximal cones of V_n, slice by slice, from the coordinates
+of n' on the horizontal rays of that cone, where ``models.model_V_mld``
+lists the few box points of a slice from the lattice form (k, w) alone.
 The scan oracle classifies and certifies every primitive n of the box one
 at a time instead of once per residue class, and the class oracle
-classifies every primitive residue class by the box-point loop of
-``model_V_mld_below`` where ``scan`` enumerates the singular classes from
-short lattice vectors and counts the total by Moebius inversion.  The
+classifies every primitive residue class by ``box_mld_below`` where
+``scan`` enumerates the singular classes from short lattice vectors and
+counts the total by Moebius inversion.  The
 cofactor adjugate takes n^2 determinants where ``exactmath.inverse`` runs
 one elimination.  The
 sublattice index, the oracle of ``fan.multiplicity``, is the product of
@@ -38,6 +42,7 @@ every toricfib module that holds it.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -76,8 +81,8 @@ from toricfib.exactmath import (
     smith_normal_form,
     solve_in_basis,
 )
-from toricfib.fan import Cone, Fan, multiplicity, smallest_containing_cone
-from toricfib.models import DecompositionData, FibrationModel, decompose, model_V, model_V_mld_below
+from toricfib.fan import Cone, Fan, horizontal_rays, multiplicity, smallest_containing_cone
+from toricfib.models import DecompositionData, FibrationModel, _v_vector, decompose, model_V
 
 
 # The mld-userfan pool of the benchmark: 300 user fans in dimension 3,
@@ -422,6 +427,74 @@ def primitive_family(d: int, bound: int) -> Iterator[LatticeVector]:
             yield n
 
 
+def _v_cones(
+    vec: LatticeVector, horizontal: tuple[LatticeVector, ...]
+) -> list[tuple[tuple[LatticeVector, ...], tuple[int, ...]]]:
+    """For each maximal cone <n, H minus h_j> of the V model, its horizontal
+    rays and the integer coordinates b of n' = n[1:] in them: b = n' when c
+    is dropped; b_i = n'_i - n'_j and b_c = -n'_j when e_j is dropped."""
+    tail = vec[1:]
+    cones = [(horizontal[:-1], tail)]
+    for j, nj in enumerate(tail):
+        b = tuple(ni - nj for i, ni in enumerate(tail) if i != j) + (-nj,)
+        cones.append((horizontal[:j] + horizontal[j + 1 :], b))
+    return cones
+
+
+def box_mld_below(d: int, n: Sequence[int], thr: int | Rat) -> tuple[Rat, LatticeVector] | None:
+    """``models.model_V_mld(d, n)`` when its value is below ``thr``, else
+    None, by the half-open boxes of the d maximal cones of V_n, visiting
+    only the slices k < thr n_1; any thr > 1 gives ``model_V_mld`` itself.
+    Raises the ``ValueError``s of ``model_V`` for n.
+
+    Let H = (e_2, ..., e_d, c) be the horizontal rays.  The d-1 rays of
+    H minus h_j are a lattice basis of x_1 = 0; let b be the coordinates of
+    n' in it (``_v_cones``).  The box of sigma_j = <n, H minus h_j> holds
+    one point of each first coordinate k in [0, n_1): with
+    a_i = (-k b_i) mod n_1 it is (k n + sum(a_i h_i))/n_1, of log
+    discrepancy (k + sum(a_i))/n_1.  For 1 <= k < n_1 that numerator is
+    >= k + 1, since all a_i = 0 would make n_1 divide k.  With
+    thr = p/q a value is below thr exactly when its numerator is below
+    C = ceil(p n_1/q).  The search keeps the best (numerator, point) from
+    the bound (C, ()), with the d+1 rays (numerator n_1) when n_1 < C, and
+    visits slice k only while k < the best numerator.
+    """
+    vec = _v_vector(d, n, "n")
+    thr = ensure_rational(thr)
+    n1 = vec[0]
+    cap = -(-thr.numerator * n1 // thr.denominator)
+    if cap <= 1:
+        return None
+    horizontal = horizontal_rays(d)
+    best: tuple[int, LatticeVector] = (cap, ())
+    if n1 < cap:
+        best = min((n1, ray) for ray in (vec,) + horizontal)
+    # per cone, row i pairs n_i with the i-th coordinates of its horizontal rays
+    cones = [
+        ([(ni, hs) for ni, *hs in zip(vec, *rays)], b)
+        for rays, b in _v_cones(vec, horizontal)
+    ]
+    mul = operator.mul
+    for k in range(1, n1):
+        if k >= best[0]:
+            break
+        for rows, b in cones:
+            a = [(-k * bi) % n1 for bi in b]
+            point = []
+            for ni, hs in rows:
+                q, rem = divmod(k * ni + sum(map(mul, a, hs)), n1)
+                if rem:
+                    raise InvariantViolation("a V-model box point is not a lattice point")
+                point.append(q)
+            if math.gcd(*point) == 1:
+                candidate = (k + sum(a), tuple(point))
+                if candidate < best:
+                    best = candidate
+    if not best[1]:
+        return None
+    return Fraction(best[0], n1), best[1]
+
+
 def scan_instance(
     d: int, r: int, eps: Rat, eps_p: Rat, n: LatticeVector
 ) -> tuple[LatticeVector, bool, CertificateReport | None]:
@@ -429,7 +502,7 @@ def scan_instance(
     when it is not, the certificate of n with its own mld minimizer as l.
     ``certify`` is read through ``criterion`` so that a test patching it
     reaches the oracle too."""
-    below = model_V_mld_below(d, n, eps_p)
+    below = box_mld_below(d, n, eps_p)
     if below is None:
         return n, True, None
     minimizer = below[1]
@@ -463,8 +536,8 @@ def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
 def class_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
     """``criterion.scan`` one primitive residue class at a time: every
     rho in [0, n_1)^(d-1) with gcd(n_1, rho) = 1 is weighted by its lifts
-    in the box (``_lift_range``) and classified by ``model_V_mld_below``
-    at eps_prime, whose minimizer must then be vertical."""
+    in the box (``_lift_range``) and classified by ``box_mld_below`` at
+    eps_prime, whose minimizer must then be vertical."""
     eps = Fraction(eps)
     eps_p = epsilon_prime(d, r, eps)
     total = singular = 0
@@ -475,7 +548,7 @@ def class_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
                 continue
             weight = math.prod(counts[x] for x in rho)
             total += weight
-            below = model_V_mld_below(d, (n1,) + rho, eps_p)
+            below = box_mld_below(d, (n1,) + rho, eps_p)
             if below is None:
                 continue
             if below[1][0] <= 0:

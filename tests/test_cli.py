@@ -74,6 +74,9 @@ MLD_REPORT = """{
 """
 
 
+# The `mld --fan-of-v` cases.  The last three, with n_1 from 211 to
+# 100003, were computed by the loop over the boxes of the d cones of V_n
+# that model_V_mld ran before its lattice form (oracles.box_mld_below).
 MLD_FAN_OF_V_CASES = [
     ("1,0", "1", (0, -1)),
     ("1,5", "1", (0, -1)),
@@ -89,6 +92,9 @@ MLD_FAN_OF_V_CASES = [
     ("5,2,-1,3", "1", (0, -1, -1, -1)),
     ("7,1,1,1", "2/7", (1, 0, 0, 0)),
     ("12,-5,7,3", "1", (0, -1, -1, -1)),
+    ("100003,31622", "379/100003", (253, 80)),
+    ("997,401,-613", "101/997", (5, 2, -3)),
+    ("211,17,-88,140", "28/211", (12, 1, -5, 8)),
 ]
 
 
@@ -563,19 +569,19 @@ def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv
 
 
 def _no_box_loop(*args, **kwargs):
-    raise AssertionError("scan ran the box-point loop")
+    raise AssertionError("scan computed an mld")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_runs_no_box_loop(monkeypatch, capsys, jobs):
-    # scan enumerates the singular classes, so the box-point loop of
-    # model_V_mld_below never runs.  --jobs 1 runs the sweep in this
+    # scan enumerates the singular classes, so model_V_mld, with its loop
+    # over the box points, never runs.  --jobs 1 runs the sweep in this
     # process.  --jobs 2 checks the workers only where the pool has two and
     # forks them, so that they inherit the rebinding; elsewhere it would
     # pass without checking them, so it is skipped.
     if jobs == "2" and (len(os.sched_getaffinity(0)) < 2 or multiprocessing.get_start_method() != "fork"):
         pytest.skip("the pool does not fork two workers on this host")
-    rebind_everywhere(monkeypatch, models._v_box_minimum, _no_box_loop)
+    rebind_everywhere(monkeypatch, models.model_V_mld, _no_box_loop)
     assert cli.main(SCAN_D2 + ["--jobs", jobs]) == cli.EXIT_OK
     out, err = capsys.readouterr()
     assert out == _golden(SCAN_D2_DOC, SCAN_LEGEND)

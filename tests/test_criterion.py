@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    box_mld_below,
     box_scan,
     class_scan,
     fan_certify,
@@ -40,7 +41,6 @@ from toricfib.models import (
     log_canonical_class_split,
     model_V,
     model_V_mld,
-    model_V_mld_below,
     model_W_U,
     model_Y,
     verify_extraction_identities,
@@ -692,10 +692,10 @@ class TestScanByResidueClass:
 
     def test_no_singular_class_is_certified(self, monkeypatch):
         # scan(2, 1, 1/2, 40) has 112 singular instances in 40 classes; the
-        # singular classes are enumerated, so no class is certified and
-        # none goes through the box-point loop
+        # singular classes are enumerated, so no class is certified and no
+        # mld is computed
         calls = []
-        for original in (criterion.certify, models.model_V_mld_below, models._v_box_minimum):
+        for original in (criterion.certify, models.model_V_mld):
 
             def counting(*args, original=original):
                 calls.append(original.__name__)
@@ -754,22 +754,23 @@ class TestScanByResidueClass:
                 assert list(_lift_range(rho, n1, bound)) == [x for x in box if x % n1 == rho]
 
     @staticmethod
-    def _lift_pair(seed, thr_range):
-        rng = random.Random(seed)
+    def _lift_pair(rng):
         d = rng.choice((2, 3, 4))
         n = random_vertical(rng, d, 300)
         t = [rng.randint(-4, 4) for _ in range(d - 1)]
         lift = (n[0],) + tuple(x + n[0] * ti for x, ti in zip(n[1:], t))
-        q = rng.randint(1, 2 * n[0])
-        thr = Fraction(rng.randint(*thr_range(q)), q)
-        return d, n, lift, thr
+        return d, n, lift
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 12), st.integers(1, 12))
     @settings(max_examples=150, deadline=None)
     def test_lemma_lifts_share_the_class_verdict(self, seed, r, p, q):
-        # thr in (0, 1], where the rays never compete
-        d, n, lift, thr = self._lift_pair(seed, lambda q: (1, q))
-        below, lifted = model_V_mld_below(d, n, thr), model_V_mld_below(d, lift, thr)
+        # thr in (0, 1], where the rays never compete; the box-loop oracle
+        # decides the verdict
+        rng = random.Random(seed)
+        d, n, lift = self._lift_pair(rng)
+        thr_q = rng.randint(1, 2 * n[0])
+        thr = Fraction(rng.randint(1, thr_q), thr_q)
+        below, lifted = box_mld_below(d, n, thr), box_mld_below(d, lift, thr)
         assert (below is None) == (lifted is None)
         if below is None:
             return
@@ -788,6 +789,7 @@ class TestScanByResidueClass:
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_lemma_holds_above_one(self, seed):
-        # thr in (1, 3]: the rays compete, with numerator n_1 on every lift
-        d, n, lift, thr = self._lift_pair(seed, lambda q: (q + 1, 3 * q))
-        assert model_V_mld_below(d, n, thr)[0] == model_V_mld_below(d, lift, thr)[0]
+        # above 1 the rays compete, with numerator n_1 on every lift, and
+        # the verdict at any thr > 1 reads the whole mld
+        d, n, lift = self._lift_pair(random.Random(seed))
+        assert model_V_mld(d, n)[0] == model_V_mld(d, lift)[0]

@@ -4,10 +4,12 @@ import random
 import re
 from fractions import Fraction
 
+import oracles
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    box_mld_below,
     brute_force_mld,
     fan_decomposition,
     primitive_family,
@@ -25,7 +27,6 @@ from toricfib.models import (
     log_canonical_class_split,
     model_V,
     model_V_mld,
-    model_V_mld_below,
     model_W_U,
     model_Y,
     singular_classes,
@@ -149,37 +150,72 @@ class TestModelVMld:
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
             model_V_mld(d, n)
         with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
-            model_V_mld_below(d, n, Fraction(1, 2))
+            box_mld_below(d, n, Fraction(1, 2))
 
     def test_corrupted_coordinates_trip_the_division_check(self, monkeypatch):
-        cones = models._v_cones
+        candidates = models._slice_candidates
 
-        def corrupted(vec, horizontal):
-            (rays, b), *rest = cones(vec, horizontal)
-            return [(rays, (b[0] + 1,) + b[1:])] + rest
+        def corrupted(vec, k):
+            *rest, (num, w) = candidates(vec, k)
+            return rest + [(num, (w[0] + 1,) + w[1:])]
 
-        monkeypatch.setattr(models, "_v_cones", corrupted)
-        with pytest.raises(InvariantViolation, match="not a lattice point"):
-            model_V_mld(2, (5, 1))
-        # slices 1 and 2 lie below 1/54 at n_1 = 109
-        with pytest.raises(InvariantViolation, match="not a lattice point"):
-            model_V_mld_below(3, (109, 1, 1), Fraction(1, 54))
+        # the last candidate of slice 1 is the minimizer (1, 0) or (1, 0, 0)
+        monkeypatch.setattr(models, "_slice_candidates", corrupted)
+        for d, n in [(2, (5, 1)), (3, (109, 1, 1))]:
+            with pytest.raises(InvariantViolation, match="^a V-model box point is not a lattice point$"):
+                model_V_mld(d, n)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_slice_candidates_are_the_box_points_of_the_slice(self, seed):
+        # the claim of model_V_mld: the candidates of slice k, as points with
+        # their values, are the box points with first coordinate k over the
+        # d maximal cones of V_n, with their coefficient sums
+        rng = random.Random(seed)
+        d = rng.choice((2, 3, 4))
+        n = random_vertical(rng, d, {2: 60, 3: 20, 4: 9}[d])
+        n1 = n[0]
+        boxes = [{} for _ in range(n1)]
+        for cone in model_V(d, n).fan.maximal_cones:
+            size, points = cone.box_points()
+            for point, nums in points:
+                boxes[point[0]][point] = Fraction(sum(nums), size)
+        for k in range(n1):
+            slice_k = {}
+            for num, w in models._slice_candidates(n, k):
+                assert all((k * ni + wi) % n1 == 0 for ni, wi in zip(n[1:], w))
+                point = (k,) + tuple((k * ni + wi) // n1 for ni, wi in zip(n[1:], w))
+                slice_k[point] = Fraction(num, n1)
+            assert slice_k == boxes[k]
+
+    @given(st.integers(1, 10 ** 5), st.integers(-(10 ** 5), 10 ** 5))
+    @example(99991, 31622)
+    @example(1, 0)
+    @settings(max_examples=80, deadline=None)
+    def test_d2_matches_the_box_loop(self, n1, n2):
+        # n_1 up to 10^5; any thr > 1 lets the rays compete, so the oracle
+        # returns the whole mld
+        assume(math.gcd(n1, n2) == 1)
+        assert model_V_mld(2, (n1, n2)) == box_mld_below(2, (n1, n2), 2)
 
 
 def full_below(d, n, thr):
-    """The oracle: model_V_mld, kept when its value is below thr."""
+    """model_V_mld, kept when its value is below thr."""
     full = model_V_mld(d, n)
     return full if full[0] < thr else None
 
 
 class TestModelVMldBelow:
+    """The threshold cap of the box-loop oracle ``box_mld_below`` against
+    ``model_V_mld`` filtered by the threshold."""
+
     # 1/54 is the eps' of scan-d3 and 1/12 that of scan-d2; 2 > 1 lets the rays compete
     @pytest.mark.parametrize("d,bound", [(2, 40), (3, 8), (4, 3)])
     def test_agrees_on_the_scan_families(self, d, bound):
         thresholds = [Fraction(1, 54), Fraction(1, 12), Fraction(1, 5), Fraction(2)]
         for n in primitive_family(d, bound):
             for thr in thresholds:
-                assert model_V_mld_below(d, n, thr) == full_below(d, n, thr)
+                assert box_mld_below(d, n, thr) == full_below(d, n, thr)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=200, deadline=None)
@@ -191,28 +227,28 @@ class TestModelVMldBelow:
         value = model_V_mld(d, n)[0]
         # a random thr in (0, 2], the value itself and a rational just above it
         for thr in (Fraction(rng.randint(1, 2 * q), q), value, value + Fraction(1, 10 ** 6)):
-            assert model_V_mld_below(d, n, thr) == full_below(d, n, thr)
+            assert box_mld_below(d, n, thr) == full_below(d, n, thr)
 
     def test_skew_family_at_its_value(self):
         # (N, 1) has mld 2/N at (1, 0), found in slice 1
-        assert model_V_mld_below(2, (9, 1), Fraction(2, 9)) is None
-        assert model_V_mld_below(2, (9, 1), Fraction(3, 13)) == (Fraction(2, 9), (1, 0))
-        assert model_V_mld_below(2, (9, 1), 1) == (Fraction(2, 9), (1, 0))
-        assert model_V_mld_below(2, (1, 0), 2) == (Fraction(1), (0, -1))
-        assert model_V_mld_below(2, (1, 0), 1) is None
+        assert box_mld_below(2, (9, 1), Fraction(2, 9)) is None
+        assert box_mld_below(2, (9, 1), Fraction(3, 13)) == (Fraction(2, 9), (1, 0))
+        assert box_mld_below(2, (9, 1), 1) == (Fraction(2, 9), (1, 0))
+        assert box_mld_below(2, (1, 0), 2) == (Fraction(1), (0, -1))
+        assert box_mld_below(2, (1, 0), 1) is None
 
     def test_no_slice_below_builds_no_cone(self, monkeypatch):
         def unused(vec, horizontal):
             raise AssertionError("a slice was visited")
 
-        monkeypatch.setattr(models, "_v_cones", unused)
-        assert model_V_mld_below(3, (8, 1, -1), Fraction(1, 54)) is None
-        assert model_V_mld_below(3, (54, 1, -1), Fraction(1, 54)) is None
-        assert model_V_mld_below(2, (7, 3), 0) is None
+        monkeypatch.setattr(oracles, "_v_cones", unused)
+        assert box_mld_below(3, (8, 1, -1), Fraction(1, 54)) is None
+        assert box_mld_below(3, (54, 1, -1), Fraction(1, 54)) is None
+        assert box_mld_below(2, (7, 3), 0) is None
 
     def test_float_threshold_rejected(self):
         with pytest.raises(TypeError, match="floating point"):
-            model_V_mld_below(2, (5, 1), 0.5)
+            box_mld_below(2, (5, 1), 0.5)
 
 
 def classified_classes(d, n1, thr):
@@ -220,7 +256,7 @@ def classified_classes(d, n1, thr):
     return {
         rho
         for rho in itertools.product(range(n1), repeat=d - 1)
-        if math.gcd(n1, *rho) == 1 and model_V_mld_below(d, (n1,) + rho, thr) is not None
+        if math.gcd(n1, *rho) == 1 and box_mld_below(d, (n1,) + rho, thr) is not None
     }
 
 
