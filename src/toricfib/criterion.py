@@ -52,7 +52,7 @@ from .exactmath import (
     ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, decompose, horizontal_rays, singular_classes
+from .models import DecompositionData, check_r_eps, decompose, horizontal_rays, singular_classes
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,7 @@ def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
     """The threshold eps / (3 d r) below which the explicit bounds apply."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError("d must be an integer >= 2")
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError("r must be an integer >= 1")
-    eps = ensure_rational(eps)
-    if not 0 < eps.numerator <= eps.denominator:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_r_eps(r, eps)
     return Fraction(eps.numerator, eps.denominator * 3 * d * r)
 
 

@@ -182,9 +182,9 @@ def log_discrepancy(
     if not is_primitive(vec):
         raise ValueError("log discrepancies are attached to primitive vectors")
     _check_boundary(fan, boundary)
-    cone, coeffs = smallest_containing_cone(fan, vec)
+    rays, coeffs = smallest_containing_cone(fan, vec)
     return sum(
-        (c * (1 - boundary.coefficient(r)) for r, c in zip(cone.rays, coeffs)),
+        (c * (1 - boundary.coefficient(r)) for r, c in zip(rays, coeffs)),
         Fraction(0),
     )
 

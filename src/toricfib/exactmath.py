@@ -126,11 +126,6 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, sign, prev
 
 
-def rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of integer vectors: the number of Bareiss pivots."""
-    return len(_bareiss([list(lattice_vector(v)) for v in vectors])[0])
-
-
 def solve_in_basis(
     generators: Sequence[Sequence[int]],
     target: Sequence[int | Fraction],

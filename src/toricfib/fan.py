@@ -4,24 +4,25 @@ Cones are generated by primitive, linearly independent rays.  The fans
 built here all live in the half-space x_1 >= 0 and fiber over the affine
 line through the first coordinate.
 
-A full-dimensional cone builds the integer inverse (adj, det) of its ray
-matrix once, at construction, in one fraction-free elimination; det != 0
-is its independence check, and ``rank`` is used only below full
-dimension.  Coordinates, functionals, facet normals, the lattice points of
-the cone's box and the walls of the fan check are all read off it.
+Every cone is full dimensional: it has d rays in dimension d, and a face
+of a cone is just a subset of its rays.  A cone builds the integer inverse
+(adj, det) of its ray matrix once, at construction, in one fraction-free
+elimination; det != 0 is its independence check.  Coordinates,
+functionals, facet normals, the multiplicity, the lattice points of the
+cone's box and the walls of the fan check are all read off it.
 
 Every ``Fan`` is validated in full when it is constructed, whether a
-caller or this package built it, whatever its number of cones: its
-maximal cones must be full dimensional, and every pair of them must meet
-in the face spanned by their shared rays.
+caller or this package built it, whatever its number of cones: every pair
+of its maximal cones must meet in the face spanned by their shared rays.
 
 The check runs wall by wall first.  A wall is the d-1 rays a cone keeps
 when it drops one.  When every wall lies in at most two cones, on opposite
-sides of it, the walls that lie in one cone all bound one half-space that
-holds every ray, and one interior point lies in a single cone, the cones
-cover their support exactly once and so meet in common faces
-(``_walls_cover_once``: a pseudo-manifold that covers one point once is a
-triangulation; De Loera, Rambau, Santos, *Triangulations*, 2010, §4.5).
+sides of it, the walls that lie in one cone all lie on the boundary of
+the cone spanned by every ray, and one interior point lies in a single
+cone, the cones cover their support exactly once and so meet in common
+faces (``_walls_cover_once``: a pseudo-manifold that covers one point once
+is a triangulation; De Loera, Rambau, Santos, *Triangulations*, 2010,
+§4.5).
 The normal of each wall and the side of each dropped ray are read off the
 rows of adj, so the check computes no determinant.
 
@@ -55,35 +56,31 @@ from .exactmath import (
     is_primitive,
     lattice_vector,
     primitive,
-    rank,
-    rational_vector,
-    solve_in_basis,
 )
 
 
 @dataclass(frozen=True)
 class Cone:
-    """A simplicial cone spanned by primitive, independent ray generators.
+    """A full-dimensional simplicial cone: d primitive, independent rays in
+    dimension d.
 
-    Rays are stored sorted, so equality and hashing are order-free.  A
-    full-dimensional cone computes the integer inverse of its ray matrix at
-    construction, as (adjugate, determinant) from one elimination
+    Rays are stored sorted, so equality and hashing are order-free.  The
+    cone computes the integer inverse of its ray matrix at construction,
+    as (adjugate, determinant) from one elimination
     (``exactmath.inverse``).  A nonzero determinant is its independence
     check, and ``coefficients``, ``functional``, ``contains``,
-    ``facet_normals``, ``box_points`` and the wall check of ``Fan`` all
-    read that inverse; ``box_points`` gives the box as integer numerators
-    over |det|, unsorted.  A lower-dimensional cone checks its rays by
-    ``rank`` and solves in their span.
+    ``facet_normals``, ``box_points``, ``multiplicity`` and the wall check
+    of ``Fan`` all read that inverse; ``box_points`` gives the box as
+    integer numerators over |det|, unsorted.
     """
 
     rays: tuple[LatticeVector, ...]
-    ambient_dim: int = 0
 
     def __post_init__(self) -> None:
         rays = tuple(lattice_vector(r) for r in self.rays)
         if not rays:
             raise ValueError("a cone needs at least one ray")
-        dim = self.ambient_dim or len(rays[0])
+        dim = len(rays[0])
         for r in rays:
             if len(r) != dim:
                 raise ValueError("ray dimension mismatch")
@@ -92,33 +89,22 @@ class Cone:
         if len(set(rays)) != len(rays):
             raise ValueError("duplicate rays")
         rays = tuple(sorted(rays))
-        if len(rays) == dim:
-            inv = inverse(list(zip(*rays)))
-            independent = inv is not None
-        else:
-            inv = None
-            independent = rank(rays) == len(rays)
-        if not independent:
+        if len(rays) < dim:
+            raise ValueError(f"cone {rays} is not full dimensional")
+        inv = inverse(list(zip(*rays))) if len(rays) == dim else None
+        if inv is None:
             raise ValueError("cone rays must be linearly independent")
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "ambient_dim", dim)
-        # (adj, det) of the matrix whose columns are the rays, None below
-        # full dimension: the coordinates of v on the rays are adj v / det
+        # (adj, det) of the matrix whose columns are the rays: the
+        # coordinates of v on the rays are adj v / det
         object.__setattr__(self, "_inverse", inv)
 
     @property
-    def dim(self) -> int:
+    def ambient_dim(self) -> int:
         return len(self.rays)
 
-    def _full_inverse(self) -> tuple[list[list[int]], int]:
-        if self._inverse is None:
-            raise ValueError("cone is not full dimensional")
-        return self._inverse
-
-    def coefficients(self, v: Sequence[int | Fraction]) -> RationalVector | None:
-        """Coordinates of v on the rays, or None when v is outside their span."""
-        if self._inverse is None:
-            return solve_in_basis(self.rays, rational_vector(v))
+    def coefficients(self, v: Sequence[int | Fraction]) -> RationalVector:
+        """Coordinates of v on the rays."""
         vec = [x if isinstance(x, (int, Fraction)) else ensure_rational(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise ValueError("target dimension mismatch")
@@ -126,36 +112,35 @@ class Cone:
         return tuple(Fraction(sum(a * x for a, x in zip(row, vec)), base) for row in adj)
 
     def functional(self, values: Sequence[int | Fraction]) -> RationalVector:
-        """The linear functional of a full-dimensional cone taking the i-th
-        value at the i-th ray: the combination of the rows of the inverse
-        ray matrix, adj / det, with the values as weights."""
-        adj, base = self._full_inverse()
+        """The linear functional taking the i-th value at the i-th ray: the
+        combination of the rows of the inverse ray matrix, adj / det, with
+        the values as weights."""
+        adj, base = self._inverse
         return tuple(
             Fraction(sum(x * row[j] for x, row in zip(values, adj)), base)
             for j in range(self.ambient_dim)
         )
 
     def contains(self, v: Sequence[int | Fraction]) -> bool:
-        coeffs = self.coefficients(v)
-        return coeffs is not None and all(c >= 0 for c in coeffs)
+        return all(c >= 0 for c in self.coefficients(v))
 
     @cached_property
     def facet_normals(self) -> tuple[LatticeVector, ...]:
-        """Primitive inward facet normals of a full-dimensional cone, one
-        per ray: the i-th vanishes on every ray but the i-th and is positive
-        there.  They are the rows of the inverse ray matrix, i.e. of the
-        adjugate up to the sign of the determinant."""
-        adj, base = self._full_inverse()
+        """Primitive inward facet normals, one per ray: the i-th vanishes on
+        every ray but the i-th and is positive there.  They are the rows of
+        the inverse ray matrix, i.e. of the adjugate up to the sign of the
+        determinant."""
+        adj, base = self._inverse
         sign = 1 if base > 0 else -1
         return tuple(primitive(tuple(sign * a for a in row)) for row in adj)
 
     def box_points(self) -> tuple[int, list[tuple[LatticeVector, tuple[int, ...]]]]:
-        """(D, points) for a full-dimensional cone: D = |det| of the ray
-        matrix and, for each lattice point of the half-open box, the pair
-        (point, nums) where nums / D are its coefficients on the rays.  The
-        numerators are integers in [0, D), in no particular order; as a set
-        the points are exactly ``exactmath.parallelepiped_points(self.rays)``,
-        read off the inverse instead of a Smith normal form.
+        """(D, points): D = |det| of the ray matrix and, for each lattice
+        point of the half-open box, the pair (point, nums) where nums / D
+        are its coefficients on the rays.  The numerators are integers in
+        [0, D), in no particular order; as a set the points are exactly
+        ``exactmath.parallelepiped_points(self.rays)``, read off the inverse
+        instead of a Smith normal form.
 
         Let A be the ray matrix and s the sign of det A.  The map
         p -> s adj(A) p mod D from Z^d to (Z/D)^d has kernel A Z^d, since
@@ -168,7 +153,7 @@ class Cone:
         adding the generators; its order and the integrality of every
         A nums / D are checked.
         """
-        adj, base = self._full_inverse()
+        adj, base = self._inverse
         size = abs(base)
         generators = {tuple(x % size for x in column) for column in zip(*adj)}
         zero = (0,) * self.ambient_dim
@@ -199,18 +184,10 @@ class Cone:
 
 
 def multiplicity(cone: Cone) -> int:
-    """Index of the ray-generated sublattice in the saturation of its span;
-    1 exactly when the cone is smooth.
-
-    It is the gcd of the maximal minors of the ray matrix: for k
-    independent rays that gcd is the product of the Smith invariant
-    factors of the matrix, since unimodular row and column operations keep
-    the gcd of its k x k minors, and that product is the index.  A
-    full-dimensional cone has one maximal minor, so its multiplicity is
-    |det|.
-    """
-    columns = itertools.combinations(range(cone.ambient_dim), cone.dim)
-    return math.gcd(*(det([[ray[c] for c in cs] for ray in cone.rays]) for cs in columns))
+    """Index of the ray-generated sublattice in Z^d, |det| of the ray
+    matrix, read off the cone's inverse; 1 exactly when the cone is
+    smooth."""
+    return abs(cone._inverse[1])
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -254,42 +231,44 @@ def _walls_cover_once(cones: Sequence[Cone]) -> bool | None:
     is the cone's i-th facet normal.  The check accepts when
       (a) every wall lies in at most two cones, and two cones on one wall
           lie on opposite sides of it;
-      (b) every wall in only one cone has the same primitive inward normal
-          m, and m . r >= 0 for every ray r (there may be no such wall);
+      (b) the primitive inward normal m of every wall in only one cone
+          has m . r >= 0 for every ray r;
       (c) p, the sum of the first cone's rays, lies in no other cone.
 
-    Proof.  Let N(x) count the cones that contain a point x on no wall
-    hyperplane.  Near a point x on no (d-2)-face of a cone, each cone holds
-    x in its interior, misses x, or holds x in the relative interior of one
-    of its walls.  A wall in one cone lies in m = 0 by (b), and a wall in
-    two cones does not, since one of its dropped rays has m < 0 there.  So
-    if m(x) > 0, or there is no such wall, every wall through x is one of
-    (a)'s pairs, on opposite sides of one hyperplane, and near x N(y) is
-    the count of cones holding x in their interior plus one per such pair:
-    N is locally constant.  The open half-space m > 0 (all of R^d when no
-    wall is in one cone) minus the (d-2)-faces of the cones is connected
-    as d >= 2, so N is constant on it.  p lies in the interior of the first
-    cone, hence in m > 0, and by (c) in no other cone, so N = 1 and the
-    interiors of the cones are pairwise disjoint.  The same argument on
+    Proof.  Let K be the cone spanned by every ray, and N(x) count the
+    cones that contain a point x on no wall hyperplane.  By (b) a wall in
+    one cone lies in a hyperplane m = 0 with m >= 0 on K, so in the
+    boundary of K.  Near a point x of the interior of K on no (d-2)-face
+    of a cone, each cone holds x in its interior, misses x, or holds x in
+    the relative interior of one of its walls.  Such a wall is not on the
+    boundary of K, so it is one of (a)'s pairs, on opposite sides of one
+    hyperplane, and near x N(y) is the count of cones holding x in their
+    interior plus one per such pair: N is locally constant.  The interior
+    of K, a convex open set that holds the first cone's interior, minus
+    the (d-2)-faces of the cones is connected as d >= 2, so N is constant
+    on it.  p lies in the interior of the first cone, hence of K, and by
+    (c) in no other cone, so N = 1 and the interiors of the cones, which
+    lie in the interior of K, are pairwise disjoint.  The same argument on
     the link of a face F (the cones containing F, modulo the span of F)
-    shows that the cones containing F cover a neighbourhood, within
-    m >= 0, of every point of the relative interior of F.  Now let x lie
-    in two cones, and F be the face of the first whose relative interior
-    holds x.  The second cone has interior points near x, and each lies in
-    exactly one cone, which must contain F; so the second contains F, F is
-    its smallest face through x too, and x lies in the face of shared rays.
+    shows that the cones containing F cover a neighbourhood, within K, of
+    every point of the relative interior of F.  Now let x lie in two
+    cones, and F be the face of the first whose relative interior holds x.
+    The second cone has interior points near x, and each lies in exactly
+    one cone, which must contain F; so the second contains F, F is its
+    smallest face through x too, and x lies in the face of shared rays.
 
     Conversely a failure of (a) or (c) proves an overlap: a wall in three
     cones puts two on one side; two cones on one side of a wall share the
     points near its relative interior on that side; and a cone holding p
     holds interior points of the first cone.  A failure of (b) alone
-    proves nothing, as a single cone or a wedge is a valid fan.
+    proves nothing, as a fan whose support is not convex, such as
+    <(1, 0), (0, 1)> with <(0, 1), (-1, -1)>, may be valid.
     """
     # each wall's cones, with the side of the ray each drops
     walls: dict[tuple[LatticeVector, ...], list[tuple[int, Cone, int]]] = {}
     for cone in cones:
         positive = cone._inverse[1] > 0
-        for i in range(cone.dim):
+        for i in range(len(cone.rays)):
             side = 1 if positive == (i % 2 == 0) else -1
             walls.setdefault(cone.rays[:i] + cone.rays[i + 1 :], []).append((side, cone, i))
     boundary = set()
@@ -304,12 +283,9 @@ def _walls_cover_once(cones: Sequence[Cone]) -> bool | None:
         adj, base = cone._inverse
         if all(base * _idot(row, p) >= 0 for row in adj):
             return False
-    if len(boundary) > 1:
+    rays = {ray for cone in cones for ray in cone.rays}
+    if any(_idot(m, ray) < 0 for m in boundary for ray in rays):
         return None
-    if boundary:
-        (m,) = boundary
-        if any(_idot(m, ray) < 0 for cone in cones for ray in cone.rays):
-            return None
     return True
 
 
@@ -393,15 +369,6 @@ class Fan:
 
     def _validate(self) -> None:
         cones = self.maximal_cones
-        flat = [c for c in cones if c.dim != self.ambient_dim]
-        if flat:
-            # distinct full-dimensional simplicial cones never nest, so only
-            # a fan with a lower-dimensional cone can hold a nested pair
-            for c1, c2 in itertools.combinations(cones, 2):
-                r1, r2 = set(c1.rays), set(c2.rays)
-                if r1 <= r2 or r2 <= r1:
-                    raise ValueError("a maximal cone contains another")
-            raise ValueError(f"maximal cone {flat[0].rays} is not full dimensional")
         walls = _walls_cover_once(cones) if self.ambient_dim >= 2 else None
         if walls:
             return
@@ -426,7 +393,7 @@ class Fan:
     ) -> tuple[Cone, RationalVector] | None:
         for cone in self.maximal_cones:
             coeffs = cone.coefficients(v)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
+            if all(c >= 0 for c in coeffs):
                 return cone, coeffs
         return None
 
@@ -442,7 +409,7 @@ def fibration_fan(d: int, n: LatticeVector) -> Fan:
     """The fan whose maximal cones are spanned by n together with each
     (d-1)-subset of ``horizontal_rays(d)``."""
     subsets = itertools.combinations(horizontal_rays(d), d - 1)
-    return Fan(d, tuple(Cone((n,) + subset, d) for subset in subsets))
+    return Fan(d, tuple(Cone((n,) + subset) for subset in subsets))
 
 
 def standard_fibration_fan(d: int) -> Fan:
@@ -455,9 +422,11 @@ def standard_fibration_fan(d: int) -> Fan:
 
 def smallest_containing_cone(
     fan: Fan, l: Sequence[int]
-) -> tuple[Cone, RationalVector]:
-    """The unique smallest cone of the fan containing l, with the strictly
-    positive coordinates of l on that cone's rays."""
+) -> tuple[tuple[LatticeVector, ...], RationalVector]:
+    """(rays, coefficients) of the unique smallest cone of the fan
+    containing l: the rays of a maximal cone containing l on which l has a
+    strictly positive coordinate, in that cone's sorted order, and those
+    coordinates."""
     vec = lattice_vector(l)
     if all(e == 0 for e in vec):
         raise ValueError("zero vector has no containing cone")
@@ -466,9 +435,7 @@ def smallest_containing_cone(
         raise ValueError("vector not in fan support")
     cone, coeffs = located
     positive = [(ray, c) for ray, c in zip(cone.rays, coeffs) if c > 0]
-    sub = Cone(tuple(ray for ray, _ in positive), fan.ambient_dim)
-    by_ray = dict(positive)
-    return sub, tuple(by_ray[ray] for ray in sub.rays)
+    return tuple(ray for ray, _ in positive), tuple(c for _, c in positive)
 
 
 def star_subdivide(fan: Fan, l: Sequence[int]) -> Fan:
@@ -483,13 +450,13 @@ def star_subdivide(fan: Fan, l: Sequence[int]) -> Fan:
     if vec in fan.ray_set:
         raise ValueError("already extracted")
     tau, _ = smallest_containing_cone(fan, vec)
-    tau_rays = set(tau.rays)
+    tau_rays = set(tau)
     new_cones: list[Cone] = []
     for cone in fan.maximal_cones:
         if tau_rays <= set(cone.rays):
-            for dropped in tau.rays:
+            for dropped in tau:
                 kept = tuple(r for r in cone.rays if r != dropped)
-                new_cones.append(Cone(kept + (vec,), fan.ambient_dim))
+                new_cones.append(Cone(kept + (vec,)))
         else:
             new_cones.append(cone)
     return Fan(fan.ambient_dim, tuple(new_cones))

@@ -379,16 +379,23 @@ def _theta(sub: Subdivision, r: int, eps: Rat) -> ToricDivisor:
     )
 
 
+def check_r_eps(r: int, eps: int | Rat) -> Rat:
+    """eps as a Fraction, once r is checked to be an integer >= 1 and then
+    eps to lie in (0, 1]."""
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+        raise ValueError("r must be an integer >= 1")
+    eps = ensure_rational(eps)
+    if not 0 < eps.numerator <= eps.denominator:
+        raise ValueError("eps must lie in (0, 1]")
+    return eps
+
+
 def model_Y(
     v_model: FibrationModel, l: Sequence[int], r: int, eps: int | Rat
 ) -> YModelResult:
     """Extract the divisor D of l from V and assemble the perturbed
     boundary theta of ``_theta``."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError("r must be an integer >= 1")
-    eps = ensure_rational(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
+    eps = check_r_eps(r, eps)
     n = v_model.distinguished_ray
     data = decompose(v_model.fan.ambient_dim, n, l)
     sub = Subdivision.at(v_model.fan, l)

@@ -184,7 +184,7 @@ def fan_from_dict(doc: Mapping[str, Any]) -> Fan:
     if not isinstance(cones, arrays) or not all(isinstance(rays, arrays) for rays in cones):
         raise InputError("maximal_cones must be an array of ray arrays")
     try:
-        return Fan(dim, tuple(Cone(tuple(parse_vector(r, dim) for r in rays), dim) for rays in cones))
+        return Fan(dim, tuple(Cone(tuple(parse_vector(r, dim) for r in rays)) for rays in cones))
     except ValueError as exc:
         raise InputError(str(exc)) from None
 

@@ -68,10 +68,7 @@ class SurfaceModel:
 
     @functools.cached_property
     def fan(self) -> Fan:
-        cones = tuple(
-            Cone((self.rays[i], self.rays[i + 1]), 2) for i in range(len(self.rays) - 1)
-        )
-        return Fan(2, cones)
+        return Fan(2, tuple(Cone(pair) for pair in zip(self.rays, self.rays[1:])))
 
 
 def intersect(model: SurfaceModel, divisor: ToricDivisor, ray: Sequence[int]) -> Rat:
@@ -93,8 +90,8 @@ def intersect(model: SurfaceModel, divisor: ToricDivisor, ray: Sequence[int]) ->
         raise ValueError(f"{vec} is not a ray of the surface") from None
     if index == 0 or index == len(model.rays) - 1:
         raise ValueError("curve not complete")
-    left = Cone((model.rays[index - 1], vec), 2)
-    right = Cone((vec, model.rays[index + 1]), 2)
+    left = Cone((model.rays[index - 1], vec))
+    right = Cone((vec, model.rays[index + 1]))
     witness = support_function(divisor).witness_on(left)
     shifted = divisor + character_divisor(model.fan, witness)
     return shifted.coefficient(model.rays[index + 1]) / multiplicity(right)

@@ -23,8 +23,8 @@ counts the total by Moebius inversion.  The
 cofactor adjugate takes n^2 determinants where ``exactmath.inverse`` runs
 one elimination.  The
 sublattice index, the oracle of ``fan.multiplicity``, is the product of
-the Smith invariant factors where ``multiplicity`` takes the gcd of the
-maximal minors.  The
+the Smith invariant factors where ``multiplicity`` reads |det| off the
+cone's inverse.  The
 Fraction certificate runs the tail of ``criterion.certify`` and the checks
 of ``DecompositionData`` and ``CertificateReport`` by Fraction arithmetic,
 where the package compares integers.  The generic encoder walks each
@@ -113,7 +113,7 @@ def random_full_cone(rng: random.Random, d: int, bound: int = 5) -> Cone:
         draws = [tuple(rng.randint(-bound, bound) for _ in range(d)) for _ in range(d)]
         if all(any(v) for v in draws):
             try:
-                return Cone(tuple(primitive(v) for v in draws), d)
+                return Cone(tuple(primitive(v) for v in draws))
             except ValueError:
                 continue
 
@@ -352,8 +352,7 @@ def surface_intersection(
 def decompose_on_fan(fan: Fan, apex: LatticeVector, vec: LatticeVector):
     """Write vec on its smallest cone in the fan; the apex ray (the fan's
     vertical generator) must participate, everything else is horizontal."""
-    cone, coeffs = smallest_containing_cone(fan, vec)
-    table = dict(zip(cone.rays, coeffs))
+    table = dict(zip(*smallest_containing_cone(fan, vec)))
     weight = table.pop(apex)
     rest = tuple(sorted(table.items()))
     assert all(ray[0] == 0 for ray, _ in rest)

@@ -395,6 +395,13 @@ NOT_RAY_ARRAYS = "maximal_cones must be an array of ray arrays"
         ({"ambient_dim": 2, "maximal_cones": [[5]]}, "vectors must be integer arrays, got 5"),
         ({"ambient_dim": "2", "maximal_cones": []}, "ambient_dim must be an integer"),
         ({"maximal_cones": []}, "fan documents need keys 'ambient_dim' and 'maximal_cones'"),
+        # a cone needs exactly d rays
+        (
+            {"ambient_dim": 3, "maximal_cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]]]},
+            "cone ((0, 0, 1), (1, 1, 0)) is not full dimensional",
+        ),
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1]], [[1, 0]]]}, "cone ((1, 0),) is not full dimensional"),
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1], [1, 1]]]}, "cone rays must be linearly independent"),
     ],
 )
 def test_mld_fan_rejects_malformed_documents(tmp_path, capsys, doc, message):
@@ -553,9 +560,13 @@ SMITH_FREE_RUNS = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv,text,fan", SMITH_FREE_RUNS, ids=[f"{argv[0]}{argv[1]}-{i}" for i, (argv, _, _) in enumerate(SMITH_FREE_RUNS)]
-)
+def _run_id(argv, fan):
+    """A run's id: its argv, followed by the cones of its fan file."""
+    words = argv if fan is None else argv + [json.dumps(fan["maximal_cones"], separators=(",", ":"))]
+    return " ".join(words)
+
+
+@pytest.mark.parametrize("argv,text,fan", SMITH_FREE_RUNS, ids=[_run_id(argv, fan) for argv, _, fan in SMITH_FREE_RUNS])
 def test_no_command_runs_a_smith_normal_form(tmp_path, monkeypatch, capsys, argv, text, fan):
     rebind_everywhere(monkeypatch, exactmath.smith_normal_form, _no_smith_normal_form)
     if fan is not None:

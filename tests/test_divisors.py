@@ -23,8 +23,8 @@ from toricfib.divisors import (
     toric_mld,
     zero_divisor,
 )
-from toricfib.exactmath import InvariantViolation, dot, primitive
-from toricfib.fan import Cone, Fan, smallest_containing_cone, standard_fibration_fan, star_subdivide
+from toricfib.exactmath import InvariantViolation, primitive
+from toricfib.fan import Cone, Fan, standard_fibration_fan, star_subdivide
 from toricfib.models import model_V
 from oracles import (
     POOL,
@@ -99,7 +99,7 @@ class TestSupportFunction:
         # a fan of fresh cones, so the corruption cannot reach the cones
         # cached by model_V; the canonical divisor is nonzero at every ray,
         # so a corrupted inverse changes the piece
-        fan = Fan(3, tuple(Cone(c.rays, 3) for c in model_V(3, (4, 1, -2)).fan.maximal_cones))
+        fan = Fan(3, tuple(Cone(c.rays) for c in model_V(3, (4, 1, -2)).fan.maximal_cones))
         divisor = canonical_divisor(fan)
         support_function(divisor)
         corrupt = fan.maximal_cones[1]
@@ -283,7 +283,7 @@ def random_star_fan(rng: random.Random, d: int, bound: int) -> Fan:
     rays = random_full_cone(rng, d, bound).rays
     signs = [s for s in itertools.product((1, -1), repeat=d) if rng.random() < 0.5] or [(1,) * d]
     fan = Fan(d, tuple(
-        Cone(tuple(tuple(sign * x for x in ray) for sign, ray in zip(s, rays)), d) for s in signs
+        Cone(tuple(tuple(sign * x for x in ray) for sign, ray in zip(s, rays))) for s in signs
     ))
     if rng.random() < 0.5:
         cone = rng.choice(fan.maximal_cones)

@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from toricfib import models
-from toricfib.criterion import scan
+from toricfib.criterion import epsilon_prime, scan
 from toricfib.divisors import log_discrepancy, toric_mld, zero_divisor
 from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.fan import multiplicity, standard_fibration_fan
@@ -335,6 +335,23 @@ class TestModelY:
         v = model_V(2, (3, 1))
         with pytest.raises(ValueError, match="positive first"):
             model_Y(v, (0, 1), 1, Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "r,eps,message",
+        [
+            (0, Fraction(1, 2), "r must be an integer >= 1"),
+            (True, Fraction(1, 2), "r must be an integer >= 1"),
+            (0, Fraction(2), "r must be an integer >= 1"),
+            (1, Fraction(0), "eps must lie in (0, 1]"),
+            (1, Fraction(-1, 3), "eps must lie in (0, 1]"),
+            (2, Fraction(3, 2), "eps must lie in (0, 1]"),
+        ],
+    )
+    def test_rejects_r_and_eps_as_epsilon_prime_does(self, r, eps, message):
+        for call in (lambda: model_Y(model_V(2, (3, 1)), (1, 0), r, eps), lambda: epsilon_prime(2, r, eps)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
 
     def test_single_blowup_of_identity_model(self):
         v = model_V(2, (1, 0))
