@@ -11,8 +11,9 @@ of --d, --r, --eps, --n or --l is invalid input, and so is mld's --fan
 with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
 Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
 library's, and its ``ValueError`` is exit 2.  scan --jobs N starts at
-most min(N, usable CPUs, values of n_1) worker processes, and runs in
-this process when that is 1.
+most min(N, usable CPUs, tasks) worker processes, one task per n_1 that
+can hold a singular class, and runs in this process when that is at
+most 1.
 """
 
 from __future__ import annotations

@@ -9,15 +9,17 @@ with exact rationals; a strict lhs > rhs certifies that the transform of T
 sits in the divisorial negative part of K_Y + theta over the base.  Below
 the threshold eps' = eps/(3 d r) a set of explicit bounds forces the
 strict inequality (the lemma of ``certify``), and ``scan`` sweeps whole
-families counting the instances below it, one n_1 at a time and without
-visiting the residue classes n' mod n_1 one by one.  It counts the
-primitive n of the box by Moebius inversion over the primes of n_1, and
-the singular ones, those whose ``models.model_V_mld`` is below eps', as
-the lifts of the classes that ``models.singular_classes`` enumerates from
-the short vectors (k, w), w = -k n' (mod n_1), of the V model's lattice:
-whether n is eps'-lc depends on n only through n_1 and n' mod n_1.  A
-singular n needs no certificate: its minimizer has a < eps', where the
-certificate always fires.  No n_1 <= 2/eps' has a singular class.
+families counting the instances below it without visiting the residue
+classes n' mod n_1 one by one.  It counts the primitive n of the box in
+one Moebius sum over e <= bound, and the singular ones, those whose
+``models.model_V_mld`` is below eps', as the lifts of the classes that
+``models.classes_below`` solves from the short vectors (k, w),
+w = -k n' (mod n_1), of the V model's lattice: whether n is eps'-lc
+depends on n only through n_1 and n' mod n_1.  No n_1 <= 2/eps' has a
+singular class, so only the n_1 above it are solved, each from a prefix
+of one table of short vectors built once per sweep.  A singular n needs
+no certificate: its minimizer has a < eps', where the certificate always
+fires.
 The certificate reads only the two smallest-cone decompositions of
 ``models.decompose``, so it builds no fan: the models Y, W and U live in
 ``models`` and are exercised by the tests, with the two checks on Y
@@ -49,10 +51,16 @@ from .exactmath import (
     InvariantViolation,
     LatticeVector,
     Rat,
-    ensure_rational,
     lattice_vector,
 )
-from .models import DecompositionData, check_r_eps, decompose, horizontal_rays, singular_classes
+from .models import (
+    DecompositionData,
+    check_r_eps,
+    classes_below,
+    decompose,
+    horizontal_rays,
+    short_vectors,
+)
 
 
 @dataclass(frozen=True)
@@ -104,12 +112,18 @@ class CertificateReport:
             raise InvariantViolation("eps_prime must equal eps / (3 d r)")
 
 
-def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
-    """The threshold eps / (3 d r) below which the explicit bounds apply."""
+def _checked_eps(d: int, r: int, eps: int | Rat) -> tuple[Rat, Rat]:
+    """eps as a Fraction and eps_prime = eps / (3 d r), once d, r and eps
+    are checked, in that order."""
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise ValueError("d must be an integer >= 2")
     eps = check_r_eps(r, eps)
-    return Fraction(eps.numerator, eps.denominator * 3 * d * r)
+    return eps, Fraction(eps.numerator, eps.denominator * 3 * d * r)
+
+
+def epsilon_prime(d: int, r: int, eps: int | Rat) -> Rat:
+    """The threshold eps / (3 d r) below which the explicit bounds apply."""
+    return _checked_eps(d, r, eps)[1]
 
 
 def _check_decompositions(
@@ -157,7 +171,8 @@ def certify(
 ) -> CertificateReport:
     """Evaluate the certificate inequality exactly for (n, l).
 
-    After the input checks (raising ``ValueError``), ``decompose`` writes
+    After the input checks (raising ``ValueError``; d, r and eps first, as
+    in ``epsilon_prime``), ``decompose`` writes
     the two smallest-cone decompositions in closed form and
     ``_check_decompositions`` proves in integers that they are; no fan,
     subdivision or divisor is built.  The report's a = N/n_1,
@@ -192,9 +207,8 @@ def certify(
     - fires: q(N + (r - 1) d t) <= q N (1 + (r - 1) d) <= 3 d r q N
       < p n_1.
     """
-    eps = ensure_rational(eps)
+    eps, eps_p = _checked_eps(d, r, eps)
     nvec, lvec = lattice_vector(n), lattice_vector(l)
-    eps_p = epsilon_prime(d, r, eps)
     data = decompose(d, nvec, lvec)
     alpha_total, beta_nums = _check_decompositions(d, nvec, lvec, data)
 
@@ -254,42 +268,13 @@ def _lift_range(rho: int, n1: int, bound: int) -> range:
     return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
-def _primitive_count(d: int, n1: int, bound: int) -> int:
-    """The number of primitive n = (n1, n') with n' in [-bound, bound]^(d-1).
-
-    Lemma: it is the sum of mu(e) (2 floor(bound/e) + 1)^(d-1) over the
-    squarefree divisors e of n1, with mu(e) = (-1)^(number of primes of e).
-    Proof: n is primitive when no prime p of n1 divides every n'_i.  For
-    e | n1 the n' with e | n'_i for every i number
-    #{t in [-bound, bound] : e | t}^(d-1) = (2 floor(bound/e) + 1)^(d-1),
-    the multiples of e in [-bound, bound] being 0 and +-e, ..., +-e
-    floor(bound/e).  Inclusion-exclusion over the primes of n1 counts each
-    n' whose common primes with n1 form a nonempty set P with weight
-    sum over the subsets S of P of (-1)^|S| = 0, and the others once.
-    """
-    terms = [(1, 1)]
-    rest, p = n1, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            terms += [(e * p, -mu) for e, mu in terms]
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        terms += [(e * rest, -mu) for e, mu in terms]
-    return sum(mu * (2 * (bound // e) + 1) ** (d - 1) for e, mu in terms)
-
-
-def _scan_n1(args: tuple[int, Rat, int, int]) -> tuple[int, int, int]:
-    """The count, the eps_prime-lc count and the singular count of the
-    primitive n of the box with first coordinate n1, as ``scan``
-    describes: the total by ``_primitive_count``, the singular classes by
-    ``models.singular_classes``, each weighted by its lifts."""
-    d, eps_p, bound, n1 = args
-    total = _primitive_count(d, n1, bound)
-    classes = singular_classes(d, n1, eps_p)
-    singular = sum(math.prod(len(_lift_range(x, n1, bound)) for x in rho) for rho in classes)
-    return total, total - singular, singular
+def _scan_n1(args: tuple[int, int, int, list[int], list[tuple[int, ...]]]) -> int:
+    """The number of singular n of the box with first coordinate n1: the
+    lifts of the classes ``models.classes_below`` solves at
+    C = ceil(eps_prime n1) from the sweep's short-vector table."""
+    n1, cap, bound, psis, ws = args
+    classes = classes_below(n1, cap, psis, ws)
+    return sum(math.prod(len(_lift_range(x, n1, bound)) for x in rho) for rho in classes)
 
 
 def scan(
@@ -299,21 +284,37 @@ def scan(
     and the eps_prime-lc and the singular ones among them.  An n is
     eps_prime-lc when ``models.model_V_mld(d, n)`` is at least eps_prime;
     otherwise its minimizer is l, and the certificate of (n, l) fires
-    (step 3), so ``fired`` is ``singular`` and there are no failures: no
-    certificate and no mld is computed.
+    (step 3 below), so ``fired`` is ``singular`` and there are no
+    failures: no certificate and no mld is computed.
 
-    The sweep runs one task per n_1.  Write n = (n_1, n') and
-    rho = n' mod n_1 in [0, n_1)^(d-1).  The n of the box with first
-    coordinate n_1 and class rho are the lifts n' = rho + n_1 t inside the
-    box; they number the product over i of
-    #{x in [-bound, bound] : x = rho_i mod n_1}, read off a ``range``.  The
-    task counts the primitive n by ``_primitive_count``, enumerates the
-    singular classes by ``models.singular_classes`` at eps_prime, adds
-    their lifts to ``singular`` and the rest to ``epsilon_lc``.
+    Lemma (the total): the primitive n of the box number
+    sum over e <= bound of mu(e) (2 floor(bound/e) + 1)^(d-1) floor(bound/e),
+    with mu the Moebius function, fixed by mu(1) = 1 and sum over e | m
+    of mu(e) = 0 for m > 1: the loop takes mu(e), in increasing e, off
+    every proper multiple of e.  Proof: n is primitive when gcd(n) = 1,
+    and [gcd(n) = 1] = sum over e | gcd(n) of mu(e); summed over the box
+    with the two sums swapped, each e counts the n with e | n_i for every
+    i, floor(bound/e) values of n_1 times (2 floor(bound/e) + 1)^(d-1)
+    values of n', the multiples of e in [-bound, bound] being 0 and
+    +-e, ..., +-e floor(bound/e).
 
-    Lemma: the singular n of the box are the lifts of the classes of
-    ``singular_classes(d, n_1, eps_prime)``, and the certificate of each,
-    with its minimizer as l, fires.  Proof:
+    Write n = (n_1, n'), rho = n' mod n_1 in [0, n_1)^(d-1) and
+    C = ceil(eps_prime n_1).  The n of the box with first coordinate n_1
+    and class rho are the lifts n' = rho + n_1 t inside the box; they
+    number the product over i of #{x in [-bound, bound] : x = rho_i mod
+    n_1}, read off a ``range``.  By the step k <= C - 2 of the lemma of
+    ``models.singular_classes``, no n_1 with C <= 2, that is
+    n_1 <= 2/eps_prime, has a singular class, so the sweep runs one task
+    for each n_1 from floor(2/eps_prime) + 1 to bound, largest first.
+    The task solves the singular classes by ``models.classes_below`` at C,
+    as ``singular_classes(d, n_1, eps_prime)`` does, and counts their
+    lifts.  Every task reads one table, ``models.short_vectors(d, C_max)``
+    with C_max = ceil(eps_prime bound) >= C, of which the solve step reads
+    the prefixes that the table of C holds.
+
+    Lemma (the singular n): the singular n of the box are the lifts of the
+    classes of ``singular_classes(d, n_1, eps_prime)``, and the
+    certificate of each, with its minimizer as l, fires.  Proof:
     1. gcd(n_1, n') = gcd(n_1, n' mod n_1), so the lifts of a class are
        all primitive or all not, and the classes of the primitive n are
        the rho with gcd(n_1, rho) = 1.
@@ -326,25 +327,32 @@ def scan(
        eps_prime.  The lemma of ``certify`` makes the certificate fire.
 
     ``jobs`` caps the worker processes: None (the usable CPUs) or an
-    integer >= 1.  The pool maps over the n_1 tasks and starts
-    min(jobs, usable CPUs, bound) workers, since it forks all of them at
-    once; the sweep runs in this process when that is 1."""
-    eps = ensure_rational(eps)
-    eps_p = epsilon_prime(d, r, eps)
+    integer >= 1.  The pool maps over the n_1 tasks, the largest and
+    costliest first so that the last ones to finish are short, and starts
+    min(jobs, usable CPUs, tasks) workers, since it forks all of them at
+    once; the sweep runs in this process when that is at most 1."""
+    eps, eps_p = _checked_eps(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
     if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
         raise ValueError("jobs must be an integer >= 1")
-    tasks = [(d, eps_p, bound, n1) for n1 in range(1, bound + 1)]
+    mu = [0, 1] + [0] * (bound - 1)
+    for e in range(1, bound + 1):
+        for m in range(2 * e, bound + 1, e):
+            mu[m] -= mu[e]
+    total = sum(mu[e] * (2 * (bound // e) + 1) ** (d - 1) * (bound // e) for e in range(1, bound + 1))
+
+    p, q = eps_p.numerator, eps_p.denominator
+    psis, ws = short_vectors(d, -(-p * bound // q))
+    tasks = [(n1, -(-p * n1 // q), bound, psis, ws) for n1 in range(bound, 2 * q // p, -1)]
     cpus = len(os.sched_getaffinity(0))
     workers = min(jobs or cpus, cpus, len(tasks))
-    if workers == 1:
-        results = [_scan_n1(task) for task in tasks]
+    if workers <= 1:
+        singular = sum(map(_scan_n1, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_n1, tasks))
+            singular = sum(pool.map(_scan_n1, tasks))
 
-    total, lc, singular = map(sum, zip(*results))
     return ScanSummary(
         d=d,
         r=r,
@@ -352,7 +360,7 @@ def scan(
         eps_prime=eps_p,
         bound=bound,
         total=total,
-        epsilon_lc=lc,
+        epsilon_lc=total - singular,
         singular=singular,
         fired=singular,
         failures=(),

@@ -18,9 +18,11 @@ entry of l, and U the star subdivision of W at n.
 The V model is read in one form, the lattice of the pairs (k, w) with
 w = -k n' (mod n_1), on which a point of the support has log discrepancy
 (k + psi(w))/n_1 (the lemma of ``model_V_mld``): ``model_V_mld`` takes
-the minimum over the few box points of each slice k, and, for ``scan``,
+the minimum over the few box points of each slice k, and
 ``singular_classes`` lists the classes n' mod n_1 whose V model has a log
-discrepancy below a threshold from the short vectors (k, w), with no fan.
+discrepancy below a threshold from the short vectors (k, w), with no fan:
+``classes_below`` solves them from a table of ``short_vectors``, which
+``scan`` builds once per sweep.
 """
 
 from __future__ import annotations
@@ -284,6 +286,41 @@ def _class_solutions(
                 yield w, rho
 
 
+def short_vectors(d: int, cap: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The table of the nonzero w in Z^(d-1) with psi(w) <= cap - 2, sorted
+    by (psi(w), w), as the list of their psi values and the list of the w,
+    with psi the support function of the lemma of ``model_V_mld``.  As
+    |w_i| <= psi(w), they all lie in the box [2 - cap, cap - 2]^(d-1) that
+    is enumerated.  For cap' <= cap, the w with psi(w) < cap' - k, k >= 1,
+    are a prefix of the table, in the order they have in the table of
+    cap'."""
+    box = itertools.product(range(2 - cap, cap - 1), repeat=d - 1)
+    ball = sorted((sum(_fan_coordinates(w)), w) for w in box if any(w))
+    del ball[bisect.bisect_left(ball, (cap - 1,)) :]
+    return [psi for psi, _ in ball], [w for _, w in ball]
+
+
+def classes_below(
+    n1: int, cap: int, psis: Sequence[int], ws: Sequence[tuple[int, ...]]
+) -> set[tuple[int, ...]]:
+    """The classes rho in [0, n1)^(d-1) with gcd(n1, rho) = 1 for which some
+    k >= 1 and w in the table (psis, ws) of ``short_vectors(d, cap')``,
+    cap' >= cap, have k + psi(w) < cap and k rho = -w (mod n1): the solve
+    step of ``singular_classes``.  Slice k reads the prefix of the w with
+    psi(w) < cap - k, and k runs to cap - 2, past which that prefix is
+    empty.  Every solution of ``_class_solutions`` is checked against its
+    congruence, and one that fails raises ``InvariantViolation``."""
+    found = set()
+    for k in range(1, cap - 1):
+        for w, rho in _class_solutions(k, ws[: bisect.bisect_left(psis, cap - k)], n1):
+            for r, x in zip(rho, w):
+                if (k * r + x) % n1:
+                    raise InvariantViolation("a solved class does not satisfy k rho = -w (mod n_1)")
+            if math.gcd(n1, *rho) == 1:
+                found.add(rho)
+    return found
+
+
 def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
     """The classes rho in [0, n1)^(d-1) with gcd(n1, rho) = 1 for which
     ``model_V_mld(d, (n1,) + rho)[0] < thr``, for 0 < thr <= 1, found
@@ -307,28 +344,16 @@ def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
 
     Every such (k, w) has w != 0: w = 0 would make n1 divide k rho, and so
     k, but 1 <= k < C <= n1.  So psi(w) >= 1, k <= C - 2 and
-    |w_i| <= psi(w) <= C - k - 1.  The search runs over that box, keeps the
-    w with k + psi(w) < C, solves each congruence by ``_class_solutions``
-    and keeps the primitive solutions.  Every solution is checked against
-    its congruence, and one that fails raises ``InvariantViolation``.
+    psi(w) <= C - k - 1 <= C - 2: the w are in the table of
+    ``short_vectors(d, C)``, and ``classes_below`` solves their
+    congruences and keeps the primitive solutions.  In particular no
+    class is singular when C <= 2.
     """
     thr = ensure_rational(thr)
     if not 0 < thr <= 1:
         raise ValueError("thr must lie in (0, 1]")
     cap = -(-thr.numerator * n1 // thr.denominator)
-    box = itertools.product(range(2 - cap, cap - 1), repeat=d - 1)
-    ball = sorted((sum(_fan_coordinates(w)), w) for w in box if any(w))
-    psis = [psi for psi, _ in ball]
-    ws = [w for _, w in ball]
-    found = set()
-    for k in range(1, cap - 1):
-        for w, rho in _class_solutions(k, ws[: bisect.bisect_left(psis, cap - k)], n1):
-            for r, x in zip(rho, w):
-                if (k * r + x) % n1:
-                    raise InvariantViolation("a solved class does not satisfy k rho = -w (mod n_1)")
-            if math.gcd(n1, *rho) == 1:
-                found.add(rho)
-    return found
+    return classes_below(n1, cap, *short_vectors(d, cap))
 
 
 def decompose(d: int, n: Sequence[int], l: Sequence[int]) -> DecompositionData:

@@ -29,7 +29,6 @@ from oracles import (
 from toricfib import criterion, divisors, fan, models, serialize
 from toricfib.criterion import (
     _lift_range,
-    _primitive_count,
     certify,
     epsilon_prime,
     scan,
@@ -91,6 +90,28 @@ class TestEpsilonPrime:
             epsilon_prime(2, 0, Fraction(1, 2))
         with pytest.raises(ValueError):
             epsilon_prime(2, 1, Fraction(3, 2))
+
+    @pytest.mark.parametrize(
+        "d,r,eps,kind,message",
+        [
+            (1, 1, 0.5, ValueError, "d must be an integer >= 2"),
+            (1, 0, 0.5, ValueError, "d must be an integer >= 2"),
+            (2, 0, 0.5, ValueError, "r must be an integer >= 1"),
+            (2, 1, 0.5, TypeError, "floating point is not allowed; use Fraction"),
+        ],
+    )
+    def test_d_r_eps_are_checked_first_everywhere(self, d, r, eps, kind, message):
+        # certify and scan check d, r and eps as epsilon_prime does, before
+        # their own arguments, which are invalid here too
+        calls = (
+            lambda: epsilon_prime(d, r, eps),
+            lambda: certify(d, r, eps, (2.0, 1), ()),
+            lambda: scan(d, r, eps, 0, jobs=0),
+        )
+        for call in calls:
+            with pytest.raises(Exception) as raised:
+                call()
+            assert (type(raised.value), str(raised.value)) == (kind, message)
 
 
 class TestCertify:
@@ -342,7 +363,7 @@ class TestIntegerCertificate:
         for fields in ({"fires": False}, {"lhs": report.rhs}, {"lhs": -report.lhs}):
             with pytest.raises(InvariantViolation, match="^fires must equal the strict comparison lhs > rhs$"):
                 replace(report, **fields)
-        monkeypatch.setattr(criterion, "epsilon_prime", lambda d, r, eps: eps / (3 * d * r + 1))
+        monkeypatch.setattr(criterion, "_checked_eps", lambda d, r, eps: (eps, eps / (3 * d * r + 1)))
         with pytest.raises(InvariantViolation, match=r"^eps_prime must equal eps / \(3 d r\)$"):
             certify(3, 2, Fraction(1, 3), (109, 1, 1), (1, 0, 0))
 
@@ -606,7 +627,7 @@ class TestScan:
 
     @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.0, 2.5, "2"])
     def test_jobs_validation(self, monkeypatch, jobs):
-        # bound 1 is one task, so even an accepted jobs would start no pool
+        # bound 1 has no task, so even an accepted jobs would start no pool
         monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "started", [])
         with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
@@ -637,11 +658,14 @@ class TestScanWorkers:
     @pytest.mark.parametrize(
         "cpus,jobs,bound,started",
         [
-            (3, 64, 26, [3]),  # capped by the usable CPUs
-            (64, 5, 26, [5]),  # by --jobs
-            (64, 1000, 2, [2]),  # by the 2 values of n_1
-            (1, 8, 26, []),  # one worker runs in this process
-            (64, 3, 1, []),  # one value of n_1 as well
+            # at eps' = 1/12 the tasks are the n_1 from 25 on, which can
+            # hold a singular class
+            (3, 64, 40, [3]),  # capped by the usable CPUs
+            (64, 5, 40, [5]),  # by --jobs
+            (64, 1000, 26, [2]),  # by the 2 tasks, n_1 = 25 and 26
+            (1, 8, 40, []),  # one worker runs in this process
+            (64, 3, 25, []),  # one task as well
+            (64, 3, 24, []),  # no task
         ],
     )
     def test_worker_count_is_bounded(self, monkeypatch, cpus, jobs, bound, started):
@@ -652,6 +676,15 @@ class TestScanWorkers:
         assert _RecordingPool.started == started
         assert summary == scan(2, 1, Fraction(1, 2), bound, jobs=1)
         assert _RecordingPool.started == started
+
+    def test_no_pool_without_a_singular_n1(self, monkeypatch):
+        # every n_1 of scan(3, 2, 1/3, 40) is below 2/eps' = 108, so the
+        # sweep has no task
+        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        summary = scan(3, 2, Fraction(1, 3), 40, jobs=2)
+        assert _RecordingPool.started == []
+        assert (summary.total, summary.epsilon_lc, summary.singular) == (217497, 217497, 0)
 
 
 # (d, r, eps, bound): (2, 1, 1/2) at every bound to 40 and at 70, and one
@@ -718,33 +751,48 @@ class TestScanByResidueClass:
     def test_class_families_reach_the_singular_stratum(self):
         assert [cached_class_scan(*family).singular for family in CLASS_FAMILIES] == [1632, 8292, 62]
 
-    @given(
-        st.integers(2, 5),
-        st.integers(1, 25),
-        st.one_of(
-            st.just(1),
-            st.builds(pow, st.sampled_from([2, 3, 5, 7]), st.integers(1, 5)),
-            st.integers(1, 60),
-            st.integers(26, 10 ** 6),
-        ),
-    )
-    @example(5, 25, 1)
-    @example(4, 25, 2 ** 5)
-    @example(3, 1, 3 ** 4)
-    @example(5, 12, 2 * 3 * 5 * 7)
-    @settings(max_examples=150, deadline=None)
-    def test_primitive_count_is_the_brute_count(self, d, bound, n1):
-        # the primitive n of the box, counted coordinate by coordinate by
-        # the gcd of n_1 and the coordinates so far
-        counts = {n1: 1}
-        for _ in range(d - 1):
-            step = {}
-            for g, c in counts.items():
-                for x in range(-bound, bound + 1):
-                    h = math.gcd(g, x)
-                    step[h] = step.get(h, 0) + c
-            counts = step
-        assert _primitive_count(d, n1, bound) == counts.get(1, 0)
+    @given(st.integers(2, 5), st.integers(1, 30))
+    @example(2, 4)
+    @example(3, 8)
+    @example(4, 9)
+    @example(5, 12)
+    @settings(max_examples=60, deadline=None)
+    def test_moebius_total_is_the_brute_count(self, d, bound):
+        # the primitive n of the box, counted for each n_1 coordinate by
+        # coordinate by the gcd of n_1 and the coordinates so far; the
+        # examples reach the squareful e = 4, 8, 9 and 12
+        expected = 0
+        for n1 in range(1, bound + 1):
+            counts = {n1: 1}
+            for _ in range(d - 1):
+                step = {}
+                for g, c in counts.items():
+                    for x in range(-bound, bound + 1):
+                        h = math.gcd(g, x)
+                        step[h] = step.get(h, 0) + c
+                counts = step
+            expected += counts.get(1, 0)
+        assert scan(d, 1, 1, bound, jobs=1).total == expected
+
+    def test_set_up_once_and_solve_only_the_n1_above_2_over_eps_prime(self, monkeypatch):
+        solved, built = [], []
+
+        def counting_solve(n1, cap, psis, ws):
+            solved.append(n1)
+            return models.classes_below(n1, cap, psis, ws)
+
+        def counting_table(d, cap):
+            built.append(cap)
+            return models.short_vectors(d, cap)
+
+        monkeypatch.setattr(criterion, "classes_below", counting_solve)
+        monkeypatch.setattr(criterion, "short_vectors", counting_table)
+        # eps' = 1/12: C = ceil(n_1/12) is 2 up to n_1 = 24 and 4 at 40
+        assert scan(2, 1, Fraction(1, 2), 40, jobs=1).singular == 112
+        assert (sorted(solved), built) == (list(range(25, 41)), [4])
+        solved.clear()
+        assert scan(2, 1, Fraction(1, 2), 24, jobs=1).singular == 0
+        assert solved == []
 
     @pytest.mark.parametrize("bound", [1, 2, 7, 40])
     def test_lift_range_is_the_filtered_box(self, bound):

@@ -29,6 +29,7 @@ from toricfib.models import (
     model_V_mld,
     model_W_U,
     model_Y,
+    short_vectors,
     singular_classes,
     verify_extraction_identities,
 )
@@ -278,6 +279,21 @@ class TestSingularClasses:
         classes = singular_classes(d, n1, thr)
         assert classes and classes == classified_classes(d, n1, thr)
         assert not singular_classes(d, n1 - 1, thr)
+
+    @pytest.mark.parametrize("d,cap_max", [(2, 40), (3, 14), (4, 7)])
+    def test_table_prefixes_are_the_sorted_balls_of_each_cap(self, d, cap_max):
+        # each cap <= cap_max reads, for slice k, the w with psi(w) < cap - k
+        # of its own box [2 - cap, cap - 2]^(d-1), sorted by (psi, w)
+        psis, ws = short_vectors(d, cap_max)
+        assert psis == [sum(w) + d * max(0, -min(w)) for w in ws]
+        assert all(psi <= cap_max - 2 for psi in psis)
+        assert len(ws) < (2 * cap_max - 3) ** (d - 1)
+        for cap in range(1, cap_max + 1):
+            box = itertools.product(range(2 - cap, cap - 1), repeat=d - 1)
+            ball = sorted((sum(w) + d * max(0, -min(w)), w) for w in box if any(w))
+            for k in range(1, cap - 1):
+                prefix = ws[: sum(psi < cap - k for psi in psis)]
+                assert prefix == [w for psi, w in ball if psi < cap - k]
 
     @pytest.mark.parametrize("thr", [0, Fraction(-1, 2), Fraction(3, 2), 2])
     def test_threshold_outside_the_lemma_rejected(self, thr):
