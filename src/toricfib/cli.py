@@ -13,7 +13,8 @@ Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
 library's, and its ``ValueError`` is exit 2.  scan --jobs N starts at
 most min(N, usable CPUs, tasks) worker processes, one task per n_1 that
 can hold a singular class, and runs in this process when that is at
-most 1.
+most 1; the worker machinery is imported when the first pool starts, so
+no other command loads it.
 """
 
 from __future__ import annotations

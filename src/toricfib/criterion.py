@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -330,7 +329,11 @@ def scan(
     integer >= 1.  The pool maps over the n_1 tasks, the largest and
     costliest first so that the last ones to finish are short, and starts
     min(jobs, usable CPUs, tasks) workers, since it forks all of them at
-    once; the sweep runs in this process when that is at most 1."""
+    once; the sweep runs in this process when that is at most 1.  The
+    worker machinery (``concurrent.futures.process`` and
+    ``multiprocessing``) is imported when the first pool starts, so a
+    process that starts none, every ``certify``, ``mld`` and ``example``
+    run among them, never loads it."""
     eps, eps_p = _checked_eps(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
@@ -350,6 +353,8 @@ def scan(
     if workers <= 1:
         singular = sum(map(_scan_n1, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             singular = sum(pool.map(_scan_n1, tasks))
 

@@ -599,14 +599,35 @@ def test_scan_runs_no_box_loop(monkeypatch, capsys, jobs):
     assert err == ""
 
 
-def _run_module(argv):
-    """``python -m toricfib.cli`` in a child interpreter importing the
-    package from this checkout's src/."""
+def _run_python(args):
+    """A child interpreter run with ``args``, importing the package from
+    this checkout's src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "toricfib.cli"] + argv, capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run_module(argv):
+    """``python -m toricfib.cli`` in a child interpreter."""
+    return _run_python(["-m", "toricfib.cli"] + argv)
+
+
+COLD_IMPORT = """
+import sys
+before = set(sys.modules)
+import toricfib, toricfib.serialize, toricfib.cli
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def test_import_loads_no_worker_machinery():
+    # only a scan that starts a pool imports it; the modules are diffed so
+    # that whatever the interpreter's site hooks load stays out of the check
+    done = _run_python(["-c", COLD_IMPORT])
+    new = set(done.stdout.split())
+    assert done.returncode == 0 and "toricfib.cli" in new, done.stderr
+    pool = {m for m in new if m.partition(".")[0] == "multiprocessing" or m == "concurrent.futures.process"}
+    assert pool == set()
 
 
 def test_module_writes_a_golden_and_exits_0():

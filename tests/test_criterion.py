@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import importlib.util
 import itertools
@@ -628,7 +629,7 @@ class TestScan:
     @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.0, 2.5, "2"])
     def test_jobs_validation(self, monkeypatch, jobs):
         # bound 1 has no task, so even an accepted jobs would start no pool
-        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "started", [])
         with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
             scan(2, 1, Fraction(1, 2), 1, jobs=jobs)
@@ -669,7 +670,7 @@ class TestScanWorkers:
         ],
     )
     def test_worker_count_is_bounded(self, monkeypatch, cpus, jobs, bound, started):
-        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(criterion.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(_RecordingPool, "started", [])
         summary = scan(2, 1, Fraction(1, 2), bound, jobs=jobs)
@@ -680,7 +681,7 @@ class TestScanWorkers:
     def test_no_pool_without_a_singular_n1(self, monkeypatch):
         # every n_1 of scan(3, 2, 1/3, 40) is below 2/eps' = 108, so the
         # sweep has no task
-        monkeypatch.setattr(criterion, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
         monkeypatch.setattr(_RecordingPool, "started", [])
         summary = scan(3, 2, Fraction(1, 3), 40, jobs=2)
         assert _RecordingPool.started == []
