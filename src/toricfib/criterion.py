@@ -40,7 +40,6 @@ built only for the fields of the report, a, u and lam among them.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -262,18 +261,25 @@ class ScanSummary:
     failures: tuple[CertificateReport, ...]
 
 
-def _lift_range(rho: int, n1: int, bound: int) -> range:
-    """The x in [-bound, bound] with x = rho mod n1, in increasing order."""
-    return range((rho + bound) % n1 - bound, bound + 1, n1)
-
-
 def _scan_n1(args: tuple[int, int, int, list[int], list[tuple[int, ...]]]) -> int:
     """The number of singular n of the box with first coordinate n1: the
     lifts of the classes ``models.classes_below`` solves at
-    C = ceil(eps_prime n1) from the sweep's short-vector table."""
+    C = ceil(eps_prime n1) from the sweep's short-vector table.  A class
+    rho has the product over i of the lift counts of its rho_i.
+
+    The x in [-bound, bound] with x = rho mod n1 number
+    floor((bound - rho)/n1) - floor((-bound - 1 - rho)/n1).  Proof: they
+    are the x = rho + n1 t with -bound - 1 < rho + n1 t <= bound, that is
+    the integers t with (-bound - 1 - rho)/n1 < t <= (bound - rho)/n1, and
+    a half-open interval (a, b] holds floor(b) - floor(a) integers."""
     n1, cap, bound, psis, ws = args
-    classes = classes_below(n1, cap, psis, ws)
-    return sum(math.prod(len(_lift_range(x, n1, bound)) for x in rho) for rho in classes)
+    singular = 0
+    for rho in classes_below(n1, cap, psis, ws):
+        lifts = 1
+        for x in rho:
+            lifts *= (bound - x) // n1 - (-bound - 1 - x) // n1
+        singular += lifts
+    return singular
 
 
 def scan(
@@ -290,8 +296,12 @@ def scan(
     sum over e <= bound of mu(e) (2 floor(bound/e) + 1)^(d-1) floor(bound/e),
     with mu the Moebius function, fixed by mu(1) = 1 and sum over e | m
     of mu(e) = 0 for m > 1: the loop takes mu(e), in increasing e, off
-    every proper multiple of e.  Proof: n is primitive when gcd(n) = 1,
-    and [gcd(n) = 1] = sum over e | gcd(n) of mu(e); summed over the box
+    every proper multiple of e.  By the time the loop reaches e, every
+    proper divisor of e has been taken off it, so mu(e) is final there:
+    the loop adds the term of e to the total at once, and skips the e
+    with mu(e) = 0, which take nothing off their multiples and add
+    nothing.  Proof: n is primitive when gcd(n) = 1, and
+    [gcd(n) = 1] = sum over e | gcd(n) of mu(e); summed over the box
     with the two sums swapped, each e counts the n with e | n_i for every
     i, floor(bound/e) values of n_1 times (2 floor(bound/e) + 1)^(d-1)
     values of n', the multiples of e in [-bound, bound] being 0 and
@@ -301,10 +311,11 @@ def scan(
     C = ceil(eps_prime n_1).  The n of the box with first coordinate n_1
     and class rho are the lifts n' = rho + n_1 t inside the box; they
     number the product over i of #{x in [-bound, bound] : x = rho_i mod
-    n_1}, read off a ``range``.  By the step k <= C - 2 of the lemma of
-    ``models.singular_classes``, no n_1 with C <= 2, that is
-    n_1 <= 2/eps_prime, has a singular class, so the sweep runs one task
-    for each n_1 from floor(2/eps_prime) + 1 to bound, largest first.
+    n_1}, counted by floor division in ``_scan_n1``.  By the step
+    k <= C - 2 of the lemma of ``models.singular_classes``, no n_1 with
+    C <= 2, that is n_1 <= 2/eps_prime, has a singular class, so the
+    sweep runs one task for each n_1 from floor(2/eps_prime) + 1 to
+    bound, largest first.
     The task solves the singular classes by ``models.classes_below`` at C,
     as ``singular_classes(d, n_1, eps_prime)`` does, and counts their
     lifts.  Every task reads one table, ``models.short_vectors(d, C_max)``
@@ -340,10 +351,12 @@ def scan(
     if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
         raise ValueError("jobs must be an integer >= 1")
     mu = [0, 1] + [0] * (bound - 1)
+    total = 0
     for e in range(1, bound + 1):
-        for m in range(2 * e, bound + 1, e):
-            mu[m] -= mu[e]
-    total = sum(mu[e] * (2 * (bound // e) + 1) ** (d - 1) * (bound // e) for e in range(1, bound + 1))
+        if mu[e]:
+            for m in range(2 * e, bound + 1, e):
+                mu[m] -= mu[e]
+            total += mu[e] * (2 * (bound // e) + 1) ** (d - 1) * (bound // e)
 
     p, q = eps_p.numerator, eps_p.denominator
     psis, ws = short_vectors(d, -(-p * bound // q))

@@ -276,8 +276,13 @@ def _class_solutions(
     """The pairs (w, rho) with w in ``ws`` and rho in [0, n1)^(d-1) such
     that k rho = -w (mod n1).  With g = gcd(k, n1) there is none unless g
     divides every w_i, and then rho_i = -(w_i/g) (k/g)^-1 modulo n1/g,
-    lifted in g ways each."""
+    lifted in g ways each.  For g = 1, that one rho is built directly."""
     g = math.gcd(k, n1)
+    if g == 1:
+        inv = pow(k, -1, n1)
+        for w in ws:
+            yield w, tuple([-x * inv % n1 for x in w])
+        return
     m = n1 // g
     inv = pow(k // g, -1, m)
     for w in ws:
@@ -349,6 +354,10 @@ def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
     congruences and keeps the primitive solutions.  In particular no
     class is singular when C <= 2.
     """
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
+        raise ValueError("d must be an integer >= 2")
+    if not isinstance(n1, int) or isinstance(n1, bool) or n1 < 1:
+        raise ValueError("n1 must be an integer >= 1")
     thr = ensure_rational(thr)
     if not 0 < thr <= 1:
         raise ValueError("thr must lie in (0, 1]")

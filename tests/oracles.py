@@ -19,7 +19,8 @@ The scan oracle classifies and certifies every primitive n of the box one
 at a time instead of once per residue class, and the class oracle
 classifies every primitive residue class by ``box_mld_below`` where
 ``scan`` enumerates the singular classes from short lattice vectors and
-counts the total by Moebius inversion.  The
+counts the total by Moebius inversion; it weighs a class by the lifts of
+a ``range`` where ``scan`` counts them by floor division.  The
 cofactor adjugate takes n^2 determinants where ``exactmath.inverse`` runs
 one elimination.  The
 sublattice index, the oracle of ``fan.multiplicity``, is the product of
@@ -59,7 +60,6 @@ from toricfib.criterion import (
     CertificateReport,
     ExplicitBounds,
     ScanSummary,
-    _lift_range,
     epsilon_prime,
 )
 from toricfib.divisors import (
@@ -530,6 +530,11 @@ def box_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:
         fired=sum(1 for rep in reports if rep.fires),
         failures=tuple(rep for rep in reports if not rep.fires),
     )
+
+
+def _lift_range(rho: int, n1: int, bound: int) -> range:
+    """The x in [-bound, bound] with x = rho mod n1, in increasing order."""
+    return range((rho + bound) % n1 - bound, bound + 1, n1)
 
 
 def class_scan(d: int, r: int, eps: Rat, bound: int) -> ScanSummary:

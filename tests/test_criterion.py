@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _lift_range,
     box_mld_below,
     box_scan,
     class_scan,
@@ -29,7 +30,7 @@ from oracles import (
 
 from toricfib import criterion, divisors, fan, models, serialize
 from toricfib.criterion import (
-    _lift_range,
+    _scan_n1,
     certify,
     epsilon_prime,
     scan,
@@ -796,11 +797,21 @@ class TestScanByResidueClass:
         assert solved == []
 
     @pytest.mark.parametrize("bound", [1, 2, 7, 40])
-    def test_lift_range_is_the_filtered_box(self, bound):
+    def test_lift_range_is_the_filtered_box(self, bound, monkeypatch):
+        # _scan_n1's floor-division count of the lifts of one class equals
+        # the filtered box and the oracle's range, and multiplies over the
+        # coordinates
+        solved = []
+        monkeypatch.setattr(criterion, "classes_below", lambda n1, cap, psis, ws: solved)
         box = range(-bound, bound + 1)
         for n1 in sorted({1, (bound + 1) // 2, bound}):
             for rho in range(n1):
-                assert list(_lift_range(rho, n1, bound)) == [x for x in box if x % n1 == rho]
+                lifts = [x for x in box if x % n1 == rho]
+                assert list(_lift_range(rho, n1, bound)) == lifts
+                solved[:] = [(rho,)]
+                assert _scan_n1((n1, 0, bound, [], [])) == len(lifts) == len(_lift_range(rho, n1, bound))
+                solved[:] = [(rho, rho)]
+                assert _scan_n1((n1, 0, bound, [], [])) == len(lifts) ** 2
 
     @staticmethod
     def _lift_pair(rng):

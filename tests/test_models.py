@@ -295,6 +295,30 @@ class TestSingularClasses:
                 prefix = ws[: sum(psi < cap - k for psi in psis)]
                 assert prefix == [w for psi, w in ball if psi < cap - k]
 
+    @pytest.mark.parametrize("d", [1, True, 0])
+    def test_d_below_two_rejected(self, d):
+        with pytest.raises(ValueError, match="d must be an integer >= 2"):
+            singular_classes(d, 30, Fraction(1, 2))
+
+    @pytest.mark.parametrize("n1", [0, -5, True])
+    def test_n1_not_positive_rejected(self, n1):
+        with pytest.raises(ValueError, match="n1 must be an integer >= 1"):
+            singular_classes(2, n1, Fraction(1, 2))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_class_solutions_are_the_brute_force_solutions(self, d):
+        # every rho in [0, n1)^(d-1) grouped by k rho mod n1, so that each
+        # w reads the rho with k rho = -w (mod n1); both the g = 1 and the
+        # g > 1 branch run
+        ws = list(itertools.product(range(-5, 6), repeat=d - 1))
+        for n1 in range(1, 13):
+            for k in range(1, n1):
+                by_image = {}
+                for rho in itertools.product(range(n1), repeat=d - 1):
+                    by_image.setdefault(tuple(k * x % n1 for x in rho), []).append(rho)
+                expected = [(w, rho) for w in ws for rho in by_image.get(tuple(-x % n1 for x in w), [])]
+                assert sorted(models._class_solutions(k, ws, n1)) == sorted(expected)
+
     @pytest.mark.parametrize("thr", [0, Fraction(-1, 2), Fraction(3, 2), 2])
     def test_threshold_outside_the_lemma_rejected(self, thr):
         with pytest.raises(ValueError, match="thr must lie in"):
