@@ -43,6 +43,6 @@ from .criterion import (
     epsilon_prime,
     scan,
 )
-from .surface import ChainModels, ChainReport, SurfaceModel, example_models, example_verify, intersect
+from .surface import ChainModels, ChainReport, example_models, example_verify, intersect
 
 __version__ = "0.1.0"

@@ -10,11 +10,11 @@ rays), must have length d, which is checked first.  Giving --in with any
 of --d, --r, --eps, --n or --l is invalid input, and so is mld's --fan
 with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
 Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
-library's, and its ``ValueError`` is exit 2.  scan --jobs N starts at
-most min(N, usable CPUs, tasks) worker processes, one task per n_1 that
-can hold a singular class, and runs in this process when that is at
-most 1; the worker machinery is imported when the first pool starts, so
-no other command loads it.
+library's, and its ``ValueError`` is exit 2.  scan --jobs N (default 1)
+starts at most min(N, usable CPUs, tasks) worker processes, one task per
+n_1 that can hold a singular class, and runs in this process when that
+is at most 1; the worker machinery is imported when the first pool
+starts, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--r", type=int, required=True)
     scan.add_argument("--eps", type=str, required=True)
     scan.add_argument("--bound", type=int, required=True)
-    scan.add_argument("--jobs", type=int, default=None)
+    scan.add_argument("--jobs", type=int, default=1)
     scan.set_defaults(handler=_cmd_scan)
 
     return parser

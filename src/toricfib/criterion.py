@@ -283,7 +283,7 @@ def _scan_n1(args: tuple[int, int, int, list[int], list[tuple[int, ...]]]) -> in
 
 
 def scan(
-    d: int, r: int, eps: int | Rat, bound: int, jobs: int | None = None
+    d: int, r: int, eps: int | Rat, bound: int, jobs: int = 1
 ) -> ScanSummary:
     """Count every primitive n with 0 < n_1 <= bound and |n_i| <= bound,
     and the eps_prime-lc and the singular ones among them.  An n is
@@ -336,19 +336,20 @@ def scan(
        its log discrepancy, the value, is the a of ``certify`` and below
        eps_prime.  The lemma of ``certify`` makes the certificate fire.
 
-    ``jobs`` caps the worker processes: None (the usable CPUs) or an
-    integer >= 1.  The pool maps over the n_1 tasks, the largest and
-    costliest first so that the last ones to finish are short, and starts
-    min(jobs, usable CPUs, tasks) workers, since it forks all of them at
-    once; the sweep runs in this process when that is at most 1.  The
-    worker machinery (``concurrent.futures.process`` and
-    ``multiprocessing``) is imported when the first pool starts, so a
-    process that starts none, every ``certify``, ``mld`` and ``example``
-    run among them, never loads it."""
+    ``jobs`` caps the worker processes, an integer >= 1; the default 1
+    runs the sweep in this process and starts no pool.  The pool maps
+    over the n_1 tasks, the largest and costliest first so that the last
+    ones to finish are short, and starts min(jobs, usable CPUs, tasks)
+    workers, since it forks all of them at once; the sweep runs in this
+    process when that is at most 1.  The worker machinery
+    (``concurrent.futures.process`` and ``multiprocessing``) is imported
+    when the first pool starts, so a process that starts none, every
+    ``certify``, ``mld`` and ``example`` run and every scan at jobs=1
+    among them, never loads it."""
     eps, eps_p = _checked_eps(d, r, eps)
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError("bound must be an integer >= 1")
-    if jobs is not None and (not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1):
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ValueError("jobs must be an integer >= 1")
     mu = [0, 1] + [0] * (bound - 1)
     total = 0
@@ -362,7 +363,7 @@ def scan(
     psis, ws = short_vectors(d, -(-p * bound // q))
     tasks = [(n1, -(-p * n1 // q), bound, psis, ws) for n1 in range(bound, 2 * q // p, -1)]
     cpus = len(os.sched_getaffinity(0))
-    workers = min(jobs or cpus, cpus, len(tasks))
+    workers = min(jobs, cpus, len(tasks))
     if workers <= 1:
         singular = sum(map(_scan_n1, tasks))
     else:

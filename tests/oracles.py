@@ -332,20 +332,24 @@ def surface_intersection(
     rays: list[LatticeVector], coefficients: dict[LatticeVector, Fraction], ray: LatticeVector
 ) -> Fraction:
     """Intersection of sum(c_v D_v) with the curve of the interior ray u of
-    a 2-dimensional fan whose rays are listed in angular order, from the
-    neighbours u_-, u_+ of u alone: D_{u_-}.C_u = 1/|det(u_-, u)|,
-    D_{u_+}.C_u = 1/|det(u, u_+)|, D_u.C_u = -|det(u_-, u_+)| / (|det(u_-,
-    u)| |det(u, u_+)|), and every other D_v misses C_u.  The self
-    intersection follows from the other two because every character
-    divisor pairs to zero with C_u."""
+    a 2-dimensional fan whose rays are listed in angular order, either way
+    round, from the neighbours u_-, u_+ of u alone.  With the determinants
+    signed so that a = det(u_-, u) and b = det(u, u_+) are positive (each
+    cone is less than a half-turn), D_{u_-}.C_u = 1/a, D_{u_+}.C_u = 1/b,
+    D_u.C_u = -det(u_-, u_+) / (a b), and every other D_v misses C_u.  The
+    self intersection follows from the other two because every character
+    divisor pairs to zero with C_u and b u_- + a u_+ = det(u_-, u_+) u; it
+    is positive when u_- and u_+ are more than a half-turn apart, as on
+    P^2."""
     i = rays.index(ray)
     before, after = rays[i - 1], rays[i + 1]
-    left = abs(det([before, ray]))
-    right = abs(det([ray, after]))
+    sign = 1 if det([before, ray]) > 0 else -1
+    left = sign * det([before, ray])
+    right = sign * det([ray, after])
     return (
         Fraction(coefficients.get(before, 0), left)
         + Fraction(coefficients.get(after, 0), right)
-        - Fraction(coefficients.get(ray, 0) * abs(det([before, after])), left * right)
+        - Fraction(coefficients.get(ray, 0) * sign * det([before, after]), left * right)
     )
 
 

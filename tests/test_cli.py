@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -594,6 +595,21 @@ def test_scan_runs_no_box_loop(monkeypatch, capsys, jobs):
         pytest.skip("the pool does not fork two workers on this host")
     rebind_everywhere(monkeypatch, models.model_V_mld, _no_box_loop)
     assert cli.main(SCAN_D2 + ["--jobs", jobs]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == _golden(SCAN_D2_DOC, SCAN_LEGEND)
+    assert err == ""
+
+
+def _no_pool(max_workers):
+    raise AssertionError("scan started a pool")
+
+
+def test_scan_runs_in_process_by_default(monkeypatch, capsys):
+    # SCAN_D2 has two tasks, n_1 = 25 and 26; with no --jobs they run in
+    # this process however many CPUs there are
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(criterion.os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert cli.main(SCAN_D2) == cli.EXIT_OK
     out, err = capsys.readouterr()
     assert out == _golden(SCAN_D2_DOC, SCAN_LEGEND)
     assert err == ""

@@ -627,7 +627,7 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(2, 1, Fraction(1, 2), 0)
 
-    @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.0, 2.5, "2"])
+    @pytest.mark.parametrize("jobs", [0, -1, True, False, 1.0, 2.5, "2", None])
     def test_jobs_validation(self, monkeypatch, jobs):
         # bound 1 has no task, so even an accepted jobs would start no pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
@@ -678,6 +678,15 @@ class TestScanWorkers:
         assert _RecordingPool.started == started
         assert summary == scan(2, 1, Fraction(1, 2), bound, jobs=1)
         assert _RecordingPool.started == started
+
+    def test_default_starts_no_pool(self, monkeypatch):
+        # the default jobs is 1, however many CPUs there are
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(criterion.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(_RecordingPool, "started", [])
+        summary = scan(2, 1, Fraction(1, 2), 40)
+        assert _RecordingPool.started == []
+        assert summary == scan(2, 1, Fraction(1, 2), 40, jobs=1)
 
     def test_no_pool_without_a_singular_n1(self, monkeypatch):
         # every n_1 of scan(3, 2, 1/3, 40) is below 2/eps' = 108, so the
