@@ -153,23 +153,29 @@ class SupportFunction:
         raise ValueError("vector not in fan support")
 
 
+def cone_witness(divisor: ToricDivisor, cone: Cone) -> RationalVector:
+    """The piece of the support function of a divisor on one full
+    dimensional cone: the functional m read off the cone's cached inverse,
+    checked to take the value -coeff(u) at each ray u of the cone."""
+    values = [-divisor.coefficient(r) for r in cone.rays]
+    m = cone.functional(values)
+    if any(dot(m, ray) != value for ray, value in zip(cone.rays, values)):
+        raise InvariantViolation("support function pieces disagree on a face")
+    return m
+
+
 def support_function(divisor: ToricDivisor) -> SupportFunction:
     """The support function of a divisor on a simplicial fan.
 
-    Every maximal cone is full dimensional, so each piece is read off the
-    cone's cached inverse and every divisor here is Q-Cartier.  Each piece
-    is checked to take the value -coeff(u) at each of its rays u, so pieces
+    Every maximal cone is full dimensional, so every divisor here is
+    Q-Cartier, with one ``cone_witness`` per maximal cone.  Each piece is
+    checked to take the value -coeff(u) at each of its rays u, so pieces
     sharing a ray agree there, and hence on shared faces.
     """
     fan = divisor.fan
-    witnesses = []
-    for cone in fan.maximal_cones:
-        values = [-divisor.coefficient(r) for r in cone.rays]
-        m = cone.functional(values)
-        if any(dot(m, ray) != value for ray, value in zip(cone.rays, values)):
-            raise InvariantViolation("support function pieces disagree on a face")
-        witnesses.append((cone, m))
-    return SupportFunction(fan, tuple(witnesses))
+    return SupportFunction(
+        fan, tuple((cone, cone_witness(divisor, cone)) for cone in fan.maximal_cones)
+    )
 
 
 def log_discrepancy(

@@ -97,6 +97,11 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
     asks that column j hold a pivot.  When the first k columns are all
     pivots, the k-th pivot is the leading k x k minor of the rows as
     swapped.
+
+    Two cases skip work with the same result.  A row with f = 0 becomes
+    p row_i / q, which is row_i itself when p = q, so it is left as it is.
+    When q = 1 (the first pivot, or a later pivot of 1) the quotient by q
+    is the numerator, so no division is made.
     """
     pivots: list[int] = []
     sign = 1
@@ -115,9 +120,16 @@ def _bareiss(rows: list[list[int]]) -> tuple[list[int], int, int]:
         pivot_row = rows[r]
         p = pivot_row[c]
         for i in range(m):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pivot_row)]
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f == 0 and p == prev:
+                continue
+            if prev == 1:
+                rows[i] = [p * x - f * y for x, y in zip(row, pivot_row)]
+            else:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
         pivots.append(c)
         r += 1
@@ -194,7 +206,9 @@ def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | No
     pivots, sign, last = _bareiss(rows)
     if pivots[:n] != list(range(n)):
         return None
-    return [[sign * x for x in row[n:]] for row in rows], sign * last
+    if sign == 1:
+        return [row[n:] for row in rows], last
+    return [[-x for x in row[n:]] for row in rows], -last
 
 
 def smith_normal_form(

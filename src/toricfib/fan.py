@@ -149,25 +149,32 @@ class Cone:
         the subgroup generated by the columns of s adj(A) mod D, which is
         the one the columns of adj(A) generate, whatever s.  Each coset has
         exactly one point in the box, A nums / D for its image nums, which
-        is therefore integral.  The subgroup is enumerated by closure under
-        adding the generators; its order and the integrality of every
-        A nums / D are checked.
+        is therefore integral.  Its order and the integrality of every
+        A nums / D are checked.  When D = 1 the box is the origin alone.
+
+        The subgroup is built one generator h at a time: if G is the group
+        so far and o the least j >= 1 with j h in G, then <G, h> is the
+        disjoint union of the cosets G + j h for 0 <= j < o.  They are
+        disjoint, as G + i h = G + j h with i < j < o puts (j - i) h in G,
+        against the choice of o; and their union holds G and h and is closed under addition, since
+        (G + i h) + (G + j h) = G + (i + j) h and o h lies in G.  So each
+        element is built once.  For 0 < i < j, j h lies in G + i h only if
+        (j - i) h lies in G, so testing j h against the cosets built so far
+        stops at j = o.
         """
         adj, base = self._inverse
         size = abs(base)
-        generators = {tuple(x % size for x in column) for column in zip(*adj)}
         zero = (0,) * self.ambient_dim
+        if size == 1:
+            return 1, [(zero, zero)]
         group = {zero}
-        frontier = [zero]
-        while frontier:
-            reached = []
-            for g in frontier:
-                for h in generators:
-                    nums = tuple((x + y) % size for x, y in zip(g, h))
-                    if nums not in group:
-                        group.add(nums)
-                        reached.append(nums)
-            frontier = reached
+        for column in zip(*adj):
+            h = tuple(x % size for x in column)
+            subgroup = list(group)
+            shift = h
+            while shift not in group:
+                group.update(tuple((x + y) % size for x, y in zip(g, shift)) for g in subgroup)
+                shift = tuple((x + y) % size for x, y in zip(shift, h))
         if len(group) != size:
             raise InvariantViolation("box numerators do not form a group of order |det|")
         rows = list(zip(*self.rays))
@@ -191,7 +198,7 @@ def multiplicity(cone: Cone) -> int:
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def _cross(rows: Sequence[LatticeVector], dim: int) -> list[int]:

@@ -19,9 +19,9 @@ from .divisors import (
     ToricDivisor,
     canonical_divisor,
     character_divisor,
+    cone_witness,
     log_discrepancy,
     ray_divisor,
-    support_function,
     zero_divisor,
 )
 from .exactmath import InvariantViolation, Rat, ensure_rational, lattice_vector
@@ -51,8 +51,7 @@ def intersect(fan: Fan, divisor: ToricDivisor, ray: Sequence[int]) -> Rat:
         raise ValueError("curve not complete")
     first, second = cones
     (other,) = (r for r in second.rays if r != vec)
-    witness = support_function(divisor).witness_on(first)
-    shifted = divisor + character_divisor(fan, witness)
+    shifted = divisor + character_divisor(fan, cone_witness(divisor, first))
     return shifted.coefficient(other) / multiplicity(second)
 
 

@@ -247,6 +247,34 @@ class TestAdjugate:
                 break
         assert inverse(a) == (adjugate(a), det(a))
 
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    @example(0, 3)
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_ray_like_matrices(self, seed, n):
+        # entries mostly 0, else -1, 1 or 2, as in the ray matrices of user
+        # fans: pivot columns often hold a 0 off the pivot and pivots are
+        # often 1, which the elimination skips or leaves undivided
+        rng = random.Random(seed)
+        a = [[rng.choice((0, 0, 0, 0, -1, 1, 2)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and seed % 4 == 0:
+            a[-1] = list(a[0])  # a repeated row: singular
+        columns = list(zip(*a))
+        expected = Matrix(a).det()
+        assert det(a) == expected
+        if expected == 0:
+            assert inverse(a) is None
+            with pytest.raises(ValueError, match="not independent"):
+                solve_in_basis(columns, [1] * n)
+            return
+        assert inverse(a) == (adjugate(a), expected)
+        assert Matrix(inverse(a)[0]) == Matrix(a).adjugate()
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        target = [sum(c * x for c, x in zip(coeffs, row)) for row in a]
+        assert solve_in_basis(columns, target) == tuple(coeffs)
+        if n > 1:
+            # the last column is outside the span of the others
+            assert solve_in_basis(columns[:-1], columns[-1]) is None
+
     @pytest.mark.parametrize(
         "a",
         [

@@ -150,14 +150,19 @@ class TestMultiplicity:
 
 
 class TestConeInverse:
+    @staticmethod
+    def _as_parallelepiped(cone):
+        size, points = cone.box_points()
+        assert size == abs(cone._inverse[1])
+        assert len(points) == size
+        as_fractions = sorted((pt, tuple(Fraction(n, size) for n in nums)) for pt, nums in points)
+        assert as_fractions == parallelepiped_points(cone.rays)
+        return size, points
+
     @given(st.integers(0, 10 ** 6), st.integers(1, 4))
     @settings(max_examples=120)
     def test_box_points_match_smith_normal_form(self, seed, d):
-        cone = random_full_cone(random.Random(seed), d)
-        size, points = cone.box_points()
-        assert size == abs(cone._inverse[1])
-        as_fractions = sorted((pt, tuple(Fraction(n, size) for n in nums)) for pt, nums in points)
-        assert as_fractions == parallelepiped_points(cone.rays)
+        self._as_parallelepiped(random_full_cone(random.Random(seed), d))
 
     def test_box_points_of_a_skew_cone(self):
         cone = Cone(((4, 1), (0, -1)))
@@ -165,6 +170,46 @@ class TestConeInverse:
         assert size == 4
         assert sorted(points) == [((0, 0), (0, 0)), ((1, 0), (1, 1)), ((2, 0), (2, 2)), ((3, 0), (3, 3))]
         assert Cone(((1, 0), (0, 1))).box_points() == (1, [((0, 0), (0, 0))])
+
+    def test_box_group_that_is_not_cyclic(self):
+        # |det| = 4 and every numerator vector has order 2: the group is
+        # (Z/2)^2, so no single generator builds it
+        cone = Cone(((-1, -1, -1), (-1, -1, 1), (-1, 1, -1)))
+        size, points = self._as_parallelepiped(cone)
+        assert size == 4
+        assert all(2 * x % size == 0 for _, nums in points for x in nums)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [
+            ((-1, 2, 1), (0, 1, -2), (1, 2, -2)),  # Z/7, each column generates it
+            ((0, 1, 0), (2, 1, 1), (2, 2, -1)),  # Z/4, a zero column and twice the first
+            ((-2, 1, -1), (-1, 1, 1), (1, -2, 2)),  # Z/6 from orders 3 and 2, then their sum
+        ],
+    )
+    def test_box_generator_already_in_the_group(self, rays):
+        # a nonzero column of adj mod D lies in the group the earlier
+        # columns generate, so it adds no coset
+        cone = Cone(rays)
+        size, points = self._as_parallelepiped(cone)
+        columns = [tuple(x % size for x in column) for column in zip(*cone._inverse[0])]
+        group = {(0,) * len(rays)}
+        repeated = False
+        for h in columns:
+            repeated |= any(h) and h in group
+            while not group >= {tuple((x + y) % size for x, y in zip(g, h)) for g in group}:
+                group |= {tuple((x + y) % size for x, y in zip(g, h)) for g in group}
+        assert repeated
+        assert group == {nums for _, nums in points}
+
+    @pytest.mark.parametrize(
+        "rays",
+        [((1, 0), (0, 1)), ((1, 2, 3), (0, 1, 4), (0, 0, 1)), ((-1, 0, 0), (1, 1, 0), (3, 5, -1))],
+    )
+    def test_box_of_a_unimodular_cone_is_the_origin(self, rays):
+        cone = Cone(rays)
+        zero = (0,) * len(rays)
+        assert self._as_parallelepiped(cone) == (1, [(zero, zero)])
 
     @pytest.mark.parametrize(
         "corrupt,message",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricfib import surface
-from toricfib.divisors import Subdivision, ToricDivisor, character_divisor, ray_divisor
+from toricfib.divisors import Subdivision, ToricDivisor, canonical_divisor, character_divisor, ray_divisor
 from toricfib.exactmath import InvariantViolation
 from toricfib.fan import Cone, Fan, standard_fibration_fan
 from toricfib.models import model_V
@@ -120,6 +120,18 @@ def test_intersect_rejects_incomplete_and_foreign_curves():
     other = chain_fan(SURFACES[0])
     with pytest.raises(ValueError, match="does not live on this fan"):
         intersect(other, divisor, (1, 0))
+
+
+def test_intersect_checks_the_witness_it_uses(monkeypatch):
+    # the shift is the witness on the first cone holding the ray; a
+    # corrupted inverse there gives a functional off the divisor's values
+    fan = chain_fan(SURFACES[1])
+    divisor = canonical_divisor(fan)
+    first = next(cone for cone in fan.maximal_cones if (1, 0) in cone.rays)
+    adj, base = first._inverse
+    monkeypatch.setitem(first.__dict__, "_inverse", ([[adj[0][0] + 1] + adj[0][1:]] + adj[1:], base))
+    with pytest.raises(InvariantViolation, match="disagree"):
+        intersect(fan, divisor, (1, 0))
 
 
 def test_intersect_rejects_a_fan_that_is_not_2_dimensional():
