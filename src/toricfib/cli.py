@@ -4,9 +4,11 @@ one deterministic JSON report to stdout.
 Exit codes: 0 success, 2 invalid input (one line ``error: <message>`` on
 stderr), 4 an internal invariant failed (one JSON error record carrying
 the arguments on stderr); the last two write nothing to stdout.
-The CLI only parses flags and files.  Vectors, comma-separated integers
-in --n and --l and integer arrays in JSON files (--in instances, --fan
-rays), must have length d, which is checked first.  Giving --in with any
+The CLI only parses flags and files, and ``main`` writes the report that
+each subcommand returns.  Vectors, comma-separated integers in --n and
+--l and integer arrays in JSON files (--in instances, --fan rays), must
+have length d, so d is checked first, before any vector is parsed, by the
+library's rule ``exactmath.check_int``.  Giving --in with any
 of --d, --r, --eps, --n or --l is invalid input, and so is mld's --fan
 with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
 Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
@@ -26,7 +28,7 @@ from typing import Any, Mapping, Sequence
 
 from . import criterion, serialize, surface
 from .divisors import toric_mld, zero_divisor
-from .exactmath import InvariantViolation
+from .exactmath import InvariantViolation, check_int
 from .models import model_V_mld
 from .serialize import InputError
 
@@ -57,11 +59,6 @@ def _flag_vector(text: str, expected_dim: int | None) -> tuple[int, ...]:
     return serialize.parse_vector(entries, expected_dim)
 
 
-def _check_d(d: Any) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 2:
-        raise InputError("d must be an integer >= 2")
-
-
 def _instance_from_args(args: argparse.Namespace) -> tuple:
     flags = (("--d", args.d), ("--r", args.r), ("--eps", args.eps), ("--n", args.n), ("--l", args.l))
     if args.infile:
@@ -73,7 +70,7 @@ def _instance_from_args(args: argparse.Namespace) -> tuple:
             d = doc["d"]
             r = doc["r"]
             eps = serialize.parse_rational(doc["eps"])
-            _check_d(d)
+            check_int(d, "d", 2)
             n = serialize.parse_vector(doc["n"], d)
             l = serialize.parse_vector(doc["l"], d)
         except KeyError as exc:
@@ -83,17 +80,15 @@ def _instance_from_args(args: argparse.Namespace) -> tuple:
     if missing:
         raise InputError(f"missing {', '.join(missing)} (or provide --in)")
     eps = serialize.parse_rational(args.eps)
-    _check_d(args.d)
+    check_int(args.d, "d", 2)
     return args.d, args.r, eps, _flag_vector(args.n, args.d), _flag_vector(args.l, args.d)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
-    report = criterion.certify(*_instance_from_args(args))
-    sys.stdout.write(serialize.dumps(serialize.certificate_to_dict(report)))
-    return EXIT_OK
+def _cmd_certify(args: argparse.Namespace) -> criterion.CertificateReport:
+    return criterion.certify(*_instance_from_args(args))
 
 
-def _cmd_mld(args: argparse.Namespace) -> int:
+def _cmd_mld(args: argparse.Namespace) -> serialize.MldReport:
     if args.fan:
         others = (("--fan-of-v", args.fan_of_v or None), ("--d", args.d), ("--n", args.n))
         given = [flag for flag, value in others if value is not None]
@@ -105,26 +100,20 @@ def _cmd_mld(args: argparse.Namespace) -> int:
     elif args.fan_of_v:
         if args.d is None or args.n is None:
             raise InputError("--fan-of-v needs --d and --n")
-        d = args.d
-        _check_d(d)
+        d = check_int(args.d, "d", 2)
         value, minimizer = model_V_mld(d, _flag_vector(args.n, d))
     else:
         raise InputError("either --fan-of-v or --fan is required")
-    sys.stdout.write(serialize.dumps(serialize.mld_report_to_dict(d, value, minimizer)))
-    return EXIT_OK
+    return serialize.MldReport(d, value, minimizer)
 
 
-def _cmd_example(args: argparse.Namespace) -> int:
-    report = surface.example_verify(args.n, args.r, serialize.parse_rational(args.eps))
-    sys.stdout.write(serialize.dumps(serialize.encode(report)))
-    return EXIT_OK
+def _cmd_example(args: argparse.Namespace) -> surface.ChainReport:
+    return surface.example_verify(args.n, args.r, serialize.parse_rational(args.eps))
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> criterion.ScanSummary:
     eps = serialize.parse_rational(args.eps)
-    summary = criterion.scan(args.d, args.r, eps, args.bound, jobs=args.jobs)
-    sys.stdout.write(serialize.dumps(serialize.scan_summary_to_dict(summary)))
-    return EXIT_OK
+    return criterion.scan(args.d, args.r, eps, args.bound, jobs=args.jobs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,7 +160,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        sys.stdout.write(serialize.dumps(serialize.encode(args.handler(args))))
+        return EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -49,6 +49,7 @@ from .exactmath import (
     InvariantViolation,
     LatticeVector,
     Rat,
+    check_int,
     lattice_vector,
 )
 from .models import (
@@ -113,8 +114,7 @@ class CertificateReport:
 def _checked_eps(d: int, r: int, eps: int | Rat) -> tuple[Rat, Rat]:
     """eps as a Fraction and eps_prime = eps / (3 d r), once d, r and eps
     are checked, in that order."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError("d must be an integer >= 2")
+    check_int(d, "d", 2)
     eps = check_r_eps(r, eps)
     return eps, Fraction(eps.numerator, eps.denominator * 3 * d * r)
 
@@ -347,10 +347,8 @@ def scan(
     ``certify``, ``mld`` and ``example`` run and every scan at jobs=1
     among them, never loads it."""
     eps, eps_p = _checked_eps(d, r, eps)
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise ValueError("bound must be an integer >= 1")
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError("jobs must be an integer >= 1")
+    check_int(bound, "bound", 1)
+    check_int(jobs, "jobs", 1)
     mu = [0, 1] + [0] * (bound - 1)
     total = 0
     for e in range(1, bound + 1):

@@ -96,9 +96,6 @@ class ToricDivisor:
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
         return self._combine(other, -1)
 
-    def __neg__(self) -> "ToricDivisor":
-        return ToricDivisor.make(self.fan, {r: -c for r, c in self.entries})
-
     def __rmul__(self, scalar: int | Rat) -> "ToricDivisor":
         s = ensure_rational(scalar)
         return ToricDivisor.make(self.fan, {r: s * c for r, c in self.entries})

@@ -48,6 +48,15 @@ def ensure_rational(value: int | Fraction) -> Fraction:
     return Fraction(value)
 
 
+def check_int(value: int, name: str, least: int) -> int:
+    """``value`` when it is an int, not a bool, and at least ``least``: the
+    one rule for every integer argument (d, r, n_1, n, bound, jobs and a
+    fan document's ambient_dim)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return value
+
+
 def dot(u: Sequence[int | Fraction], v: Sequence[int | Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch in dot product")

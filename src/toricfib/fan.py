@@ -50,6 +50,7 @@ from .exactmath import (
     InvariantViolation,
     LatticeVector,
     RationalVector,
+    check_int,
     det,
     ensure_rational,
     inverse,
@@ -422,8 +423,7 @@ def fibration_fan(d: int, n: LatticeVector) -> Fan:
 def standard_fibration_fan(d: int) -> Fan:
     """The fan of the projective-space bundle of rank d-1 over the line:
     ``fibration_fan`` of e_1.  Its support is the half-space x_1 >= 0."""
-    if d < 2:
-        raise ValueError("fibration fans need ambient dimension >= 2")
+    check_int(d, "d", 2)
     return fibration_fan(d, (1,) + (0,) * (d - 1))
 
 

@@ -40,6 +40,7 @@ from .exactmath import (
     LatticeVector,
     Rat,
     RationalVector,
+    check_int,
     ensure_rational,
     lattice_vector,
 )
@@ -127,9 +128,8 @@ def _v_vector(d: int, vec: Sequence[int], name: str) -> LatticeVector:
     """A vertical vector of a model in d >= 2 dimensions: of length d,
     primitive and with positive first coordinate.  Messages call it
     ``name``."""
+    check_int(d, "d", 2)
     vec = lattice_vector(vec)
-    if d < 2:
-        raise ValueError("models need ambient dimension >= 2")
     if len(vec) != d:
         raise ValueError("vector dimension does not match d")
     if math.gcd(*vec) != 1:
@@ -150,12 +150,13 @@ def _vertical_pair(
     return nvec, lvec
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def model_V(d: int, n: Sequence[int]) -> FibrationModel:
     """The fibration model of a primitive vector n with n_1 > 0: its fan is
     ``fan.fibration_fan(d, n)``, whose maximal cones are spanned by n
     together with the (d-1)-subsets of the horizontal rays
-    {e_2, ..., e_d, c}."""
+    {e_2, ..., e_d, c}.  The cache is typed, so a d of 3.0 is never served
+    the entry of 3 and is rejected like any other non-int d."""
     vec = _v_vector(d, n, "n")
     return FibrationModel(fibration_fan(d, vec), vec)
 
@@ -354,10 +355,8 @@ def singular_classes(d: int, n1: int, thr: int | Rat) -> set[tuple[int, ...]]:
     congruences and keeps the primitive solutions.  In particular no
     class is singular when C <= 2.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ValueError("d must be an integer >= 2")
-    if not isinstance(n1, int) or isinstance(n1, bool) or n1 < 1:
-        raise ValueError("n1 must be an integer >= 1")
+    check_int(d, "d", 2)
+    check_int(n1, "n1", 1)
     thr = ensure_rational(thr)
     if not 0 < thr <= 1:
         raise ValueError("thr must lie in (0, 1]")
@@ -416,8 +415,7 @@ def _theta(sub: Subdivision, r: int, eps: Rat) -> ToricDivisor:
 def check_r_eps(r: int, eps: int | Rat) -> Rat:
     """eps as a Fraction, once r is checked to be an integer >= 1 and then
     eps to lie in (0, 1]."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ValueError("r must be an integer >= 1")
+    check_int(r, "r", 1)
     eps = ensure_rational(eps)
     if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("eps must lie in (0, 1]")

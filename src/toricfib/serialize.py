@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from .criterion import CertificateReport, ExplicitBounds, ScanSummary
-from .exactmath import LatticeVector, Rat
+from .exactmath import LatticeVector, Rat, check_int
 from .fan import Cone, Fan
 from .surface import ChainReport
 
@@ -178,12 +178,11 @@ def fan_from_dict(doc: Mapping[str, Any]) -> Fan:
         cones = doc["maximal_cones"]
     except (KeyError, TypeError):
         raise InputError("fan documents need keys 'ambient_dim' and 'maximal_cones'") from None
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise InputError("ambient_dim must be an integer")
     arrays = (list, tuple)
-    if not isinstance(cones, arrays) or not all(isinstance(rays, arrays) for rays in cones):
-        raise InputError("maximal_cones must be an array of ray arrays")
     try:
+        check_int(dim, "ambient_dim", 1)
+        if not isinstance(cones, arrays) or not all(isinstance(rays, arrays) for rays in cones):
+            raise InputError("maximal_cones must be an array of ray arrays")
         return Fan(dim, tuple(Cone(tuple(parse_vector(r, dim) for r in rays)) for rays in cones))
     except ValueError as exc:
         raise InputError(str(exc)) from None

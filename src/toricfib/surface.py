@@ -24,7 +24,7 @@ from .divisors import (
     ray_divisor,
     zero_divisor,
 )
-from .exactmath import InvariantViolation, Rat, ensure_rational, lattice_vector
+from .exactmath import InvariantViolation, Rat, check_int, ensure_rational, lattice_vector
 from .fan import Cone, Fan, multiplicity
 from .models import FibrationModel, model_V, model_Y
 
@@ -71,8 +71,7 @@ def example_models(n: int) -> ChainModels:
     (1, 1), ..., (n, 1); contracting all of them but (n, 1) gives Y, and
     contracting (1, 0) as well gives V, the V model of (n, 1).  Y and V
     are built directly."""
-    if n < 1:
-        raise ValueError("the chain needs n >= 1 blowups")
+    check_int(n, "n", 1)
     y_cones = (((0, 1), (n, 1)), ((n, 1), (1, 0)), ((1, 0), (0, -1)))
     y_fan = Fan(2, tuple(Cone(rays) for rays in y_cones))
     return ChainModels(n=n, y=FibrationModel(y_fan, (n, 1)), v=model_V(2, (n, 1)))
@@ -107,8 +106,7 @@ def example_verify(n: int, r: int, eps: int | Rat) -> ChainReport:
     D.T = 1, (K_Y + theta).T = -eps + 2r/n, and certificate fires exactly
     when the last pairing is negative.  r and eps are checked by
     ``model_Y``, before anything reads them."""
-    if n < 2:
-        raise ValueError("the verified family starts at n = 2")
+    check_int(n, "n", 2)
     eps = ensure_rational(eps)
     chain = example_models(n)
     t_ray = (n, 1)

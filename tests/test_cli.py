@@ -202,10 +202,10 @@ def test_example_golden(capsys, n, r, eps, a, fires, pairing):
 
 
 # stderr of `example` on invalid flags, recorded while `example_verify`
-# still checked r and eps itself; every one exits 2 and writes nothing to
-# stdout.
+# still checked r and eps itself, with n's message that of
+# `exactmath.check_int`; every one exits 2 and writes nothing to stdout.
 EXAMPLE_FLAG_ERRORS = [
-    ({"n": "1"}, "the verified family starts at n = 2"),
+    ({"n": "1"}, "n must be an integer >= 2"),
     ({"r": "0"}, "r must be an integer >= 1"),
     ({"eps": "0"}, "eps must lie in (0, 1]"),
     ({"eps": "3/2"}, "eps must lie in (0, 1]"),
@@ -394,7 +394,7 @@ NOT_RAY_ARRAYS = "maximal_cones must be an array of ray arrays"
         ({"ambient_dim": 2, "maximal_cones": {"a": [1, 0]}}, NOT_RAY_ARRAYS),
         ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1]], "ab"]}, NOT_RAY_ARRAYS),
         ({"ambient_dim": 2, "maximal_cones": [[5]]}, "vectors must be integer arrays, got 5"),
-        ({"ambient_dim": "2", "maximal_cones": []}, "ambient_dim must be an integer"),
+        ({"ambient_dim": "2", "maximal_cones": []}, "ambient_dim must be an integer >= 1"),
         ({"maximal_cones": []}, "fan documents need keys 'ambient_dim' and 'maximal_cones'"),
         # a cone needs exactly d rays
         (
@@ -403,6 +403,8 @@ NOT_RAY_ARRAYS = "maximal_cones must be an array of ray arrays"
         ),
         ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1]], [[1, 0]]]}, "cone ((1, 0),) is not full dimensional"),
         ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1], [1, 1]]]}, "cone rays must be linearly independent"),
+        ({"ambient_dim": 0, "maximal_cones": []}, "ambient_dim must be an integer >= 1"),
+        ({"ambient_dim": True, "maximal_cones": 5}, "ambient_dim must be an integer >= 1"),
     ],
 )
 def test_mld_fan_rejects_malformed_documents(tmp_path, capsys, doc, message):

@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from toricfib import models
-from toricfib.criterion import epsilon_prime, scan
+from toricfib.criterion import certify, epsilon_prime, scan
 from toricfib.divisors import log_discrepancy, toric_mld, zero_divisor
 from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
 from toricfib.fan import multiplicity, standard_fibration_fan
@@ -436,12 +436,35 @@ class TestModelWU:
             (2, (1, 0), (2, 4), "n must be primitive"),
             (2, (1, 0), (-1, 1), "n must have positive first coordinate"),
             (2, (1, 0), (1, 0), "T and D must be distinct toric prime divisors"),
-            (1, (1,), (2,), "models need ambient dimension >= 2"),
+            (1, (1,), (2,), "d must be an integer >= 2"),
         ],
     )
     def test_messages_name_the_bad_vector(self, d, l, n, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             model_W_U(d, l, n)
+
+
+# each public entry point that takes d, with arguments valid at d = 3
+D_ENTRY_POINTS = {
+    "certify": lambda d: certify(d, 1, Fraction(1, 2), (5, 1, 2), (1, 0, 0)),
+    "scan": lambda d: scan(d, 1, Fraction(1, 2), 4),
+    "epsilon_prime": lambda d: epsilon_prime(d, 1, Fraction(1, 2)),
+    "singular_classes": lambda d: singular_classes(d, 5, Fraction(1, 2)),
+    "model_V": lambda d: model_V(d, (5, 1, 2)),
+    "model_V_mld": lambda d: model_V_mld(d, (5, 1, 2)),
+    "decompose": lambda d: decompose(d, (5, 1, 2), (1, 0, 0)),
+    "model_W_U": lambda d: model_W_U(d, (1, 0, 0), (5, 1, 2)),
+    "standard_fibration_fan": standard_fibration_fan,
+}
+
+
+@pytest.mark.parametrize("d", [1, 2.0, True, "3", 3.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(D_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_d_that_is_not_an_int_at_least_two(entry, d):
+    # with model_V(3, ...) cached, an untyped cache would serve d = 3.0 its entry
+    model_V(3, (5, 1, 2))
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 2$"):
+        D_ENTRY_POINTS[entry](d)
 
 
 def random_vertical(rng, d, top):

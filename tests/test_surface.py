@@ -159,7 +159,7 @@ def test_example_models():
     assert chain.y.fan.rays == ((0, -1), (0, 1), (1, 0), (6, 1))
     assert chain.v.fan.rays == ((0, -1), (0, 1), (6, 1))
     assert chain.y.distinguished_ray == chain.v.distinguished_ray == (6, 1)
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         example_models(0)
 
 
@@ -183,7 +183,7 @@ def test_example_verify_rejects_a_disagreeing_model_Y(monkeypatch):
 @pytest.mark.parametrize(
     "n,r,eps,message",
     [
-        (1, 1, Fraction(1, 2), "starts at n = 2"),
+        (1, 1, Fraction(1, 2), "n must be an integer >= 2"),
         (3, 0, Fraction(1, 2), "r must be"),
         (3, True, Fraction(1, 2), "r must be"),
         (3, 1, Fraction(0), "eps must lie"),
