@@ -8,9 +8,10 @@ The CLI only parses flags and files, and ``main`` writes the report that
 each subcommand returns.  Vectors, comma-separated integers in --n and
 --l and integer arrays in JSON files (--in instances, --fan rays), must
 have length d, so d is checked first, before any vector is parsed, by the
-library's rule ``exactmath.check_int``.  Giving --in with any
-of --d, --r, --eps, --n or --l is invalid input, and so is mld's --fan
-with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
+library's rule ``exactmath.check_int``; the CLI checks a vector's shape,
+and the library its entries (``exactmath.lattice_vector``).  Giving --in
+with any of --d, --r, --eps, --n or --l is invalid input, and so is mld's
+--fan with --fan-of-v, --d or --n; certify needs all of d, r, eps, n and l.
 Every other rule (r >= 1, eps in (0, 1], n and l primitive, ...) is the
 library's, and its ``ValueError`` is exit 2.  scan --jobs N (default 1)
 starts at most min(N, usable CPUs, tasks) worker processes, one task per
@@ -50,7 +51,7 @@ def _load_json(path: str) -> Mapping[str, Any]:
     return doc
 
 
-def _flag_vector(text: str, expected_dim: int | None) -> tuple[int, ...]:
+def _flag_vector(text: str, expected_dim: int) -> tuple[int, ...]:
     """A vector given on the command line as comma-separated integers."""
     try:
         entries = [int(part) for part in text.split(",")]

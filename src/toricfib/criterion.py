@@ -50,7 +50,6 @@ from .exactmath import (
     LatticeVector,
     Rat,
     check_int,
-    lattice_vector,
 )
 from .models import (
     DecompositionData,
@@ -170,10 +169,10 @@ def certify(
     """Evaluate the certificate inequality exactly for (n, l).
 
     After the input checks (raising ``ValueError``; d, r and eps first, as
-    in ``epsilon_prime``), ``decompose`` writes
-    the two smallest-cone decompositions in closed form and
-    ``_check_decompositions`` proves in integers that they are; no fan,
-    subdivision or divisor is built.  The report's a = N/n_1,
+    in ``epsilon_prime``, then n and l, which ``decompose`` checks),
+    ``decompose`` writes the two smallest-cone decompositions in closed
+    form and ``_check_decompositions`` proves in integers that they are;
+    no fan, subdivision or divisor is built.  The report's a = N/n_1,
     u = (r - 1) sum(A)/n_1 and lam = n_1/l_1 are built from the proved
     integers.
 
@@ -206,8 +205,8 @@ def certify(
       < p n_1.
     """
     eps, eps_p = _checked_eps(d, r, eps)
-    nvec, lvec = lattice_vector(n), lattice_vector(l)
-    data = decompose(d, nvec, lvec)
+    data = decompose(d, n, l)
+    nvec, lvec = tuple(n), tuple(l)
     alpha_total, beta_nums = _check_decompositions(d, nvec, lvec, data)
 
     p, q, n1, l1 = eps.numerator, eps.denominator, nvec[0], lvec[0]

@@ -26,7 +26,6 @@ from .exactmath import (
     RationalVector,
     dot,
     ensure_rational,
-    is_primitive,
     lattice_vector,
     rational_vector,
     solve_in_basis,
@@ -182,7 +181,7 @@ def log_discrepancy(
     respect to the pair (fan, boundary): sum of c_i * (1 - b_i) over the
     decomposition of l on its smallest containing cone."""
     vec = lattice_vector(l)
-    if not is_primitive(vec):
+    if math.gcd(*vec) != 1:
         raise ValueError("log discrepancies are attached to primitive vectors")
     _check_boundary(fan, boundary)
     rays, coeffs = smallest_containing_cone(fan, vec)

@@ -24,12 +24,14 @@ class InvariantViolation(RuntimeError):
 
 
 def lattice_vector(entries: Iterable[int]) -> LatticeVector:
+    """The entries as a tuple: the one rule for vector entries, raising
+    ``ValueError`` unless there is one at least and each is a non-bool int."""
     v = tuple(entries)
     if not v:
         raise ValueError("lattice vectors must have dimension >= 1")
     for e in v:
         if isinstance(e, bool) or not isinstance(e, int):
-            raise TypeError(f"lattice vector entries must be ints, got {e!r}")
+            raise ValueError(f"lattice vector entries must be ints, got {e!r}")
     return v
 
 
@@ -45,6 +47,8 @@ def ensure_rational(value: int | Fraction) -> Fraction:
         return value  # immutable, so no copy is needed
     if isinstance(value, float):
         raise TypeError("floating point is not allowed; use Fraction")
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"rationals must be ints or Fractions, got {value!r}")
     return Fraction(value)
 
 

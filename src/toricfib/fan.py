@@ -54,7 +54,6 @@ from .exactmath import (
     det,
     ensure_rational,
     inverse,
-    is_primitive,
     lattice_vector,
     primitive,
 )
@@ -361,6 +360,7 @@ class Fan:
     maximal_cones: tuple[Cone, ...]
 
     def __post_init__(self) -> None:
+        check_int(self.ambient_dim, "ambient_dim", 1)
         cones = tuple(self.maximal_cones)
         if not cones:
             raise ValueError("a fan needs at least one maximal cone")
@@ -452,7 +452,7 @@ def star_subdivide(fan: Fan, l: Sequence[int]) -> Fan:
     with its facets that miss the relative interior of l's smallest cone.
     """
     vec = lattice_vector(l)
-    if not is_primitive(vec):
+    if math.gcd(*vec) != 1:
         raise ValueError("subdivision ray must be primitive")
     if vec in fan.ray_set:
         raise ValueError("already extracted")

@@ -150,15 +150,21 @@ def _vertical_pair(
     return nvec, lvec
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=16)
+def _v_model(vec: LatticeVector) -> FibrationModel:
+    return FibrationModel(fibration_fan(len(vec), vec), vec)
+
+
 def model_V(d: int, n: Sequence[int]) -> FibrationModel:
     """The fibration model of a primitive vector n with n_1 > 0: its fan is
     ``fan.fibration_fan(d, n)``, whose maximal cones are spanned by n
     together with the (d-1)-subsets of the horizontal rays
-    {e_2, ..., e_d, c}.  The cache is typed, so a d of 3.0 is never served
-    the entry of 3 and is rejected like any other non-int d."""
-    vec = _v_vector(d, n, "n")
-    return FibrationModel(fibration_fan(d, vec), vec)
+    {e_2, ..., e_d, c}.  d and n are checked before the cache is read, so
+    no verdict depends on what is cached."""
+    return _v_model(_v_vector(d, n, "n"))
+
+
+model_V.cache_info = _v_model.cache_info
 
 
 def _slice_candidates(vec: LatticeVector, k: int) -> list[tuple[int, tuple[int, ...]]]:

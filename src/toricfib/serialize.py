@@ -41,18 +41,14 @@ def parse_rational(text: Any) -> Rat:
     return Fraction(text.strip())
 
 
-def parse_vector(value: Any, expected_dim: int | None = None) -> LatticeVector:
-    """A lattice vector from a JSON document: an array of integers."""
+def parse_vector(value: Any, expected_dim: int) -> tuple[Any, ...]:
+    """The entries of a JSON array of ``expected_dim`` entries, unchecked:
+    the library function that takes the vector checks them."""
     if not isinstance(value, (list, tuple)):
         raise InputError(f"vectors must be integer arrays, got {value!r}")
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in value):
-        raise InputError(f"vector entries must be integers, got {value!r}")
-    entries = tuple(value)
-    if not entries:
-        raise InputError("vectors must have at least one entry")
-    if expected_dim is not None and len(entries) != expected_dim:
-        raise InputError(f"expected a vector of length {expected_dim}, got {len(entries)}")
-    return entries
+    if len(value) != expected_dim:
+        raise InputError(f"expected a vector of length {expected_dim}, got {len(value)}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)

@@ -405,6 +405,12 @@ NOT_RAY_ARRAYS = "maximal_cones must be an array of ray arrays"
         ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [0, 1], [1, 1]]]}, "cone rays must be linearly independent"),
         ({"ambient_dim": 0, "maximal_cones": []}, "ambient_dim must be an integer >= 1"),
         ({"ambient_dim": True, "maximal_cones": 5}, "ambient_dim must be an integer >= 1"),
+        # a ray's entries are checked by Cone, the library's rule
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], [-1, 1.5]]]},
+         "lattice vector entries must be ints, got 1.5"),
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], [-1, True]]]},
+         "lattice vector entries must be ints, got True"),
+        ({"ambient_dim": 2, "maximal_cones": [[[1, 0], [1, 3]], [[1, 3], []]]}, "expected a vector of length 2, got 0"),
     ],
 )
 def test_mld_fan_rejects_malformed_documents(tmp_path, capsys, doc, message):
@@ -461,6 +467,46 @@ def test_certify_in_rejects_string_vectors(tmp_path, capsys, key, value):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: vectors must be integer arrays, got {value!r}\n"
+
+
+# The CLI checks only a vector's shape; its entries are checked by the
+# library function that takes it, so the message is the library's.
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n", [5, 1.5], "lattice vector entries must be ints, got 1.5"),
+        ("n", [5, True], "lattice vector entries must be ints, got True"),
+        ("l", [1.0, 0], "lattice vector entries must be ints, got 1.0"),
+        ("l", [], "expected a vector of length 2, got 0"),
+    ],
+)
+def test_certify_in_rejects_entries_that_are_not_ints(tmp_path, capsys, key, value, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"d": 2, "r": 1, "eps": "1/2", "n": [5, 1], "l": [1, 0], key: value}))
+    assert cli.main(["certify", "--in", str(path)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fan,doc", MLD_FAN_GOLDENS)
+def test_mld_fan_checks_each_ray_occurrence_once(tmp_path, monkeypatch, capsys, fan, doc):
+    # the rays' entries are checked by Cone alone: serialize checks only
+    # their shape (the message tests above show whose check reports)
+    checked = []
+
+    def counting(entries, original=exactmath.lattice_vector):
+        checked.append(tuple(entries))
+        return original(entries)
+
+    monkeypatch.setattr("toricfib.fan.lattice_vector", counting)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan))
+    assert cli.main(["mld", "--fan", str(path)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == _golden(doc, MLD_LEGEND)
+    assert err == ""
+    assert sorted(checked) == sorted(tuple(ray) for rays in fan["maximal_cones"] for ray in rays)
 
 
 # stderr of `certify` on invalid flags, recorded before the closed form

@@ -205,7 +205,7 @@ class TestCertifyClosedForm:
                 if n != l:
                     certify(d, 2, Fraction(1, 3), n, l)
         assert built == []
-        model_V.__wrapped__(3, (7, 2, 3))
+        models._v_model.__wrapped__((7, 2, 3))
         assert "Cone" in built and "Fan" in built
 
     @pytest.mark.parametrize(
@@ -403,7 +403,7 @@ CERTIFY_ERRORS = [
     ((2, 1, Fraction(1, 2), (0, 1), (1, 0)), ValueError, "n must have positive first coordinate"),
     ((3, 1, Fraction(1, 2), (2, 1), (1, 0, 0)), ValueError, "vector dimension does not match d"),
     ((2, 1, Fraction(1, 2), (), (1, 0)), ValueError, "lattice vectors must have dimension >= 1"),
-    ((2, 1, Fraction(1, 2), (2.0, 1), (1, 0)), TypeError, "lattice vector entries must be ints, got 2.0"),
+    ((2, 1, Fraction(1, 2), (2.0, 1), (1, 0)), ValueError, "lattice vector entries must be ints, got 2.0"),
     ((2, 1, Fraction(1, 2), (3, 1), (2, 4)), ValueError, "l must be primitive"),
     ((2, 1, Fraction(1, 2), (3, 1), (0, 1)), ValueError, "l must have positive first coordinate"),
     ((2, 1, Fraction(1, 2), (3, 1), (-1, 1)), ValueError, "l must have positive first coordinate"),
@@ -411,10 +411,12 @@ CERTIFY_ERRORS = [
     ((2, 1, Fraction(1, 2), (3, 1), (1, 0, 0)), ValueError, "vector dimension does not match d"),
     ((3, 1, Fraction(1, 2), (3, 1, 1), (1, 0)), ValueError, "vector dimension does not match d"),
     ((2, 1, Fraction(1, 2), (3, 1), ()), ValueError, "lattice vectors must have dimension >= 1"),
-    ((2, 1, Fraction(1, 2), (3, 1), (1.0, 0)), TypeError, "lattice vector entries must be ints, got 1.0"),
+    ((2, 1, Fraction(1, 2), (3, 1), (1.0, 0)), ValueError, "lattice vector entries must be ints, got 1.0"),
     ((2, 1, Fraction(1, 2), (2, 4), (2, 4)), ValueError, "n must be primitive"),
     ((3, 1, Fraction(1, 2), (2, 1), (2, 4)), ValueError, "vector dimension does not match d"),
     ((2, 1, Fraction(1, 2), (3, 1), (2, 4, 6)), ValueError, "vector dimension does not match d"),
+    # n is checked in full before any entry of l
+    ((2, 1, Fraction(1, 2), (2, 4), (1.0, 0)), ValueError, "n must be primitive"),
 ]
 
 

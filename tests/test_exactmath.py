@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, Rational
 
 from toricfib import exactmath
+from toricfib.criterion import epsilon_prime
 from toricfib.exactmath import (
     InvariantViolation,
     det,
@@ -42,7 +44,7 @@ class TestPrimitive:
             primitive((0, 0, 0))
 
     def test_float_entries_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             primitive((1.0, 2))
 
     @given(nonzero_vectors)
@@ -70,7 +72,7 @@ class TestIsPrimitive:
         assert is_primitive(v) == expected
 
     def test_validates_entries(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             is_primitive((1.0, 2))
         with pytest.raises(ValueError, match="dimension"):
             is_primitive(())
@@ -80,6 +82,15 @@ def test_ensure_rational_returns_a_fraction_unchanged():
     x = Fraction(3, 7)
     assert ensure_rational(x) is x
     assert type(ensure_rational(-4)) is Fraction and ensure_rational(-4) == -4
+
+
+@pytest.mark.parametrize("value", [True, False, "1/2", "0.5", "1"], ids=repr)
+def test_ensure_rational_rejects_bools_and_strings(value):
+    # Fraction would read True as 1 and parse "1/2" and "0.5"
+    with pytest.raises(TypeError, match=f"^rationals must be ints or Fractions, got {re.escape(repr(value))}$"):
+        ensure_rational(value)
+    with pytest.raises(TypeError, match="rationals must be ints or Fractions"):
+        epsilon_prime(2, 1, value)
 
 
 class TestSolveInBasis:

@@ -77,7 +77,7 @@ class TestCone:
     @pytest.mark.parametrize(
         "rays,error,message",
         [
-            (((1, 0), (1.0, 2)), TypeError, "lattice vector entries must be ints, got 1.0"),
+            (((1, 0), (1.0, 2)), ValueError, "lattice vector entries must be ints, got 1.0"),
             (((2, 4), (1, 2, 3)), ValueError, "ray (2, 4) is not primitive"),
             (((1, 0), (1, 2, 3)), ValueError, "ray dimension mismatch"),
             (((1, 0), (0, 0)), ValueError, "ray (0, 0) is not primitive"),
@@ -327,6 +327,13 @@ class TestFanValidation:
     def test_compatible_fan_accepted(self):
         fan = Fan(2, (Cone(((1, 0), (1, 1))), Cone(((1, 1), (0, 1)))))
         assert len(fan.maximal_cones) == 2
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", 0], ids=repr)
+    def test_ambient_dim_must_be_a_positive_int(self, dim):
+        # 2.0 equals every cone's dimension, and True that of a 1-dimensional cone
+        cone = Cone(((1,),)) if dim is True else Cone(((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match=r"^ambient_dim must be an integer >= 1$"):
+            Fan(dim, (cone,))
 
     def test_overlap_among_many_cones_rejected(self):
         chain = half_plane_chain(64)

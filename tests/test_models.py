@@ -19,8 +19,8 @@ from oracles import (
 from toricfib import models
 from toricfib.criterion import certify, epsilon_prime, scan
 from toricfib.divisors import log_discrepancy, toric_mld, zero_divisor
-from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points
-from toricfib.fan import multiplicity, standard_fibration_fan
+from toricfib.exactmath import InvariantViolation, is_primitive, parallelepiped_points, primitive
+from toricfib.fan import Cone, multiplicity, smallest_containing_cone, standard_fibration_fan, star_subdivide
 from toricfib.models import (
     decompose,
     horizontal_rays,
@@ -465,6 +465,62 @@ def test_every_entry_point_rejects_a_d_that_is_not_an_int_at_least_two(entry, d)
     model_V(3, (5, 1, 2))
     with pytest.raises(ValueError, match=r"^d must be an integer >= 2$"):
         D_ENTRY_POINTS[entry](d)
+
+
+def _with(vec, bad):
+    """``vec`` with its entry 1 replaced by ``bad``."""
+    return tuple(bad if e == 1 else e for e in vec)
+
+
+N, L, RAY = (5, 1, 2), (1, 0, 0), (0, 0, 1)
+FAN = standard_fibration_fan(3)
+# each public entry point that takes a vector at d = 3, with that vector's
+# entry 1 replaced by ``bad``; the others are valid
+VECTOR_ENTRY_POINTS = {
+    "certify n": lambda bad: certify(3, 1, Fraction(1, 2), _with(N, bad), L),
+    "certify l": lambda bad: certify(3, 1, Fraction(1, 2), N, _with(L, bad)),
+    "model_V": lambda bad: model_V(3, _with(N, bad)),
+    "model_V_mld": lambda bad: model_V_mld(3, _with(N, bad)),
+    "decompose n": lambda bad: decompose(3, _with(N, bad), L),
+    "decompose l": lambda bad: decompose(3, N, _with(L, bad)),
+    "model_W_U n": lambda bad: model_W_U(3, L, _with(N, bad)),
+    "model_W_U l": lambda bad: model_W_U(3, _with(L, bad), N),
+    "Cone": lambda bad: Cone(((1, 0, 0), (0, 1, 0), _with(RAY, bad))),
+    "star_subdivide": lambda bad: star_subdivide(FAN, _with(N, bad)),
+    "log_discrepancy": lambda bad: log_discrepancy(FAN, zero_divisor(FAN), _with(N, bad)),
+    "smallest_containing_cone": lambda bad: smallest_containing_cone(FAN, _with(N, bad)),
+    "primitive": lambda bad: primitive(_with(N, bad)),
+    "is_primitive": lambda bad: is_primitive(_with(N, bad)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+def test_every_entry_point_rejects_a_vector_entry_that_is_not_an_int(entry, bad):
+    # a bool or float entry hashes like the int it equals, so with
+    # model_V(3, N) cached a cache read before the check would serve it
+    model_V(3, N)
+    with pytest.raises(ValueError, match=f"^lattice vector entries must be ints, got {bad!r}$"):
+        VECTOR_ENTRY_POINTS[entry](bad)
+
+
+def test_model_V_checks_n_before_its_cache():
+    message = "^lattice vector entries must be ints, got True$"
+    model_V(3, (5, 1, 2))
+    with pytest.raises(ValueError, match=message):
+        model_V(3, (5, True, 2))
+    models._v_model.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        model_V(3, (5, True, 2))
+
+
+def test_model_V_cache_info_counts_the_built_models():
+    # the benchmark's models.model_V.hit_ratio reads model_V.cache_info()
+    models._v_model.cache_clear()
+    model_V(3, (7, 2, 3))
+    assert model_V(3, (7, 2, 3)) is model_V(3, [7, 2, 3])
+    info = model_V.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
 
 
 def random_vertical(rng, d, top):
