@@ -203,17 +203,35 @@ def inverse(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], int] | No
     """The integer inverse (adj(A), det(A)) of a square integer matrix A,
     with adj(A) A = det(A) I, or None when A is singular.
 
-    ``_bareiss`` reduces [A | I], whose n pivots fall in the first n
-    columns exactly when A is nonsingular.  The row operations amount to a
-    matrix M with M [A | I] = [D I | M], so M = D A^-1, where D, the last
-    pivot, is the determinant of A with its rows swapped as the pivots
-    were chosen: D = s det(A) for the sign s of the swaps.  Hence
-    adj(A) = s M and det(A) = s D.
+    At order 3, adj(A) is the transpose of the matrix of the nine 2 x 2
+    cofactors C_ij, and det(A) = sum_j a_1j C_1j.  Entry (i, j) of
+    adj(A) A is sum_k C_ki a_kj, the Laplace expansion along column i of A
+    with column i replaced by column j: det(A) when j = i, and 0 otherwise,
+    as two columns are then equal.
+
+    At every other order, ``_bareiss`` reduces [A | I], whose n pivots
+    fall in the first n columns exactly when A is nonsingular.  The row
+    operations amount to a matrix M with M [A | I] = [D I | M], so
+    M = D A^-1, where D, the last pivot, is the determinant of A with its
+    rows swapped as the pivots were chosen: D = s det(A) for the sign s of
+    the swaps.  Hence adj(A) = s M and det(A) = s D.
     """
     n = len(matrix)
-    rows = [list(row) + [0] * n for row in matrix]
-    if any(len(row) != 2 * n for row in rows):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, k) = matrix
+        c11, c12, c13 = e * k - f * h, f * g - d * k, d * h - e * g
+        base = a * c11 + b * c12 + c * c13
+        if base == 0:
+            return None
+        adj = [
+            [c11, c * h - b * k, b * f - c * e],
+            [c12, a * k - c * g, c * d - a * f],
+            [c13, b * g - a * h, a * e - b * d],
+        ]
+        return adj, base
+    rows = [list(row) + [0] * n for row in matrix]
     for i, row in enumerate(rows):
         row[n + i] = 1
     pivots, sign, last = _bareiss(rows)

@@ -6,10 +6,12 @@ line through the first coordinate.
 
 Every cone is full dimensional: it has d rays in dimension d, and a face
 of a cone is just a subset of its rays.  A cone builds the integer inverse
-(adj, det) of its ray matrix once, at construction, in one fraction-free
-elimination; det != 0 is its independence check.  Coordinates,
-functionals, facet normals, the multiplicity, the lattice points of the
-cone's box and the walls of the fan check are all read off it.
+(adj, det) of its ray matrix once, at construction, with
+``exactmath.inverse`` (by the nine 2 x 2 cofactors in dimension 3, by one
+fraction-free elimination in any other); det != 0 is its independence
+check.  Coordinates, functionals, facet normals, the multiplicity, the
+lattice points of the cone's box and the walls of the fan check are all
+read off it.
 
 Every ``Fan`` is validated in full when it is constructed, whether a
 caller or this package built it, whatever its number of cones: every pair
@@ -66,12 +68,13 @@ class Cone:
 
     Rays are stored sorted, so equality and hashing are order-free.  The
     cone computes the integer inverse of its ray matrix at construction,
-    as (adjugate, determinant) from one elimination
-    (``exactmath.inverse``).  A nonzero determinant is its independence
-    check, and ``coefficients``, ``functional``, ``contains``,
-    ``facet_normals``, ``box_points``, ``multiplicity`` and the wall check
-    of ``Fan`` all read that inverse; ``box_points`` gives the box as
-    integer numerators over |det|, unsorted.
+    as (adjugate, determinant) by ``exactmath.inverse``: from the cofactors
+    in dimension 3, from one elimination in any other.  A nonzero
+    determinant is its independence check, and ``coefficients``,
+    ``functional``, ``contains``, ``facet_normals``, ``box_points``,
+    ``multiplicity`` and the wall check of ``Fan`` all read that inverse;
+    ``box_points`` gives the box as integer numerators over |det|,
+    unsorted.
     """
 
     rays: tuple[LatticeVector, ...]

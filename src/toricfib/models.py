@@ -443,9 +443,10 @@ def model_Y(
 def model_W_U(d: int, l: Sequence[int], n: Sequence[int]) -> WUModelResult:
     """The swapped models: W is ``model_V(d, l)``, the fibration model of
     l, and U extracts n from it.  The swapped decomposition is
-    ``decompose``'s betas, with 1/gamma on l."""
+    ``decompose``'s betas, with 1/gamma on l.  W is read from ``model_V``'s
+    cache on the l that ``_vertical_pair`` has checked."""
     nvec, lvec = _vertical_pair(d, n, l)
-    w = model_V(d, lvec)
+    w = _v_model(lvec)
     sub = Subdivision.at(w.fan, nvec)
     return WUModelResult(w, FibrationModel(sub.fine, lvec))
 

@@ -121,9 +121,11 @@ _CONSTANTS: dict[type, dict[str, str]] = {
 _RENAMED = {"lam": "lambda"}
 # JSON scalars that a report holds and that encode to themselves
 _SCALARS = frozenset((type(None), bool, int, str))
-# a report class's (key, attribute) pairs, its derived properties, and the
-# constants and envelope written after them
-_Plan = tuple[tuple[tuple[str, str], ...], tuple[str, ...], dict[str, Any]]
+# a report class's (key, attribute) pairs, its derived properties, the
+# constants and envelope scalars written after them, and its legend
+_Plan = tuple[
+    tuple[tuple[str, str], ...], tuple[str, ...], dict[str, Any], dict[str, str] | None
+]
 # one plan per report class, built on its first use
 _PLANS: dict[type, _Plan] = {}
 
@@ -133,10 +135,11 @@ def _plan(cls: type) -> _Plan:
         raise TypeError(f"cannot encode {cls.__name__} exactly")
     pairs = tuple((_RENAMED.get(f.name, f.name), f.name) for f in fields(cls))
     extra = dict(_CONSTANTS.get(cls, {}))
+    legend = None
     if cls in _ENVELOPES:
         kind, legend = _ENVELOPES[cls]
-        extra.update(schema_version=SCHEMA_VERSION, kind=kind, legend=legend)
-    plan = _PLANS[cls] = (pairs, _DERIVED.get(cls, ()), extra)
+        extra.update(schema_version=SCHEMA_VERSION, kind=kind)
+    plan = _PLANS[cls] = (pairs, _DERIVED.get(cls, ()), extra, legend)
     return plan
 
 
@@ -144,7 +147,9 @@ def encode(value: Any) -> Any:
     """The JSON value of a report or of anything inside one: a dataclass
     becomes an object of its fields (a report adds its envelope), a
     Fraction its string, a tuple or list an array.  Leaves are dispatched
-    on their exact type; a dataclass is written by the plan of its class."""
+    on their exact type; a dataclass is written by the plan of its class.
+    Each document gets its own copy of its legend, so a caller that edits
+    one leaves every other document as it was."""
     kind = type(value)
     if kind in _SCALARS:
         return value
@@ -152,11 +157,13 @@ def encode(value: Any) -> Any:
         return str(value)
     if kind is tuple or kind is list:
         return [encode(item) for item in value]
-    pairs, derived, extra = _PLANS.get(kind) or _plan(kind)
+    pairs, derived, extra, legend = _PLANS.get(kind) or _plan(kind)
     doc = {key: encode(getattr(value, attr)) for key, attr in pairs}
     for name in derived:
         doc[name] = getattr(value, name)
     doc.update(extra)
+    if legend is not None:
+        doc["legend"] = dict(legend)
     return doc
 
 

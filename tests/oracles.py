@@ -21,8 +21,9 @@ classifies every primitive residue class by ``box_mld_below`` where
 ``scan`` enumerates the singular classes from short lattice vectors and
 counts the total by Moebius inversion; it weighs a class by the lifts of
 a ``range`` where ``scan`` counts them by floor division.  The
-cofactor adjugate takes n^2 determinants where ``exactmath.inverse`` runs
-one elimination.  The
+cofactor adjugate takes n^2 determinants, each by elimination, where
+``exactmath.inverse`` writes out the nine 2 x 2 cofactors at order 3 and
+runs one elimination at any other order.  The
 sublattice index, the oracle of ``fan.multiplicity``, is the product of
 the Smith invariant factors where ``multiplicity`` reads |det| off the
 cone's inverse.  The
@@ -137,7 +138,9 @@ def box_lattice_points(generators: list[LatticeVector]) -> list[tuple[LatticeVec
 
 def adjugate(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer adjugate by cofactors, adj(A) A = det(A) I: n^2 separate
-    determinants, where ``exactmath.inverse`` runs one elimination."""
+    determinants by ``exactmath.det``'s elimination, where
+    ``exactmath.inverse`` writes the order-3 cofactors out as products and
+    runs one elimination at any other order."""
     a = [[int(e) for e in row] for row in matrix]
     n = len(a)
     if n == 1:

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from toricfib.exactmath import (
     smith_normal_form,
     solve_in_basis,
 )
-from oracles import adjugate, box_lattice_points, sublattice_index
+from oracles import POOL, adjugate, box_lattice_points, sublattice_index
 
 nonzero_vectors = st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(
     lambda v: any(e != 0 for e in v)
@@ -315,6 +316,33 @@ class TestAdjugate:
     def test_not_square_rejected(self):
         with pytest.raises(ValueError, match="not square"):
             inverse([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ValueError, match="not square"):
+            inverse([[1, 2, 3], [4, 5], [6, 7, 8]])
+
+    @given(st.lists(st.integers(-(10 ** 30), 10 ** 30), min_size=9, max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_order_three_equals_the_oracles(self, entries):
+        a = [entries[0:3], entries[3:6], entries[6:9]]
+        expected = det(a)
+        assert expected == Matrix(a).det()
+        if expected == 0:
+            assert inverse(a) is None
+            return
+        adj, base = inverse(a)
+        assert (adj, base) == (adjugate(a), expected)
+        assert Matrix(adj) == Matrix(a).adjugate()
+        assert type(base) is int and all(type(x) is int for row in adj for x in row)
+
+    def test_order_three_on_every_pool_cone(self):
+        pool = json.loads(POOL.read_text())["fans"]
+        matrices = {
+            tuple(zip(*sorted(entry["rays"][i] for i in cone)))
+            for entry in pool
+            for cone in entry["cones"]
+        }
+        assert len(matrices) > 1000
+        for a in matrices:
+            assert inverse(a) == (adjugate(a), det(a))
 
 
 class TestParallelepiped:

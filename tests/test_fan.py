@@ -255,7 +255,7 @@ class TestConeInverse:
         assert _cross([(1, 0)], 2) == [0, -1]
         assert _idot(_cross([(1, 0)], 2), (0, 1)) == -1 == -det([(1, 0), (0, 1)])
 
-    def test_mld_of_a_user_fan_runs_one_elimination_per_cone(self, monkeypatch):
+    def test_mld_of_a_user_fan_runs_one_inverse_per_cone_and_no_elimination(self, monkeypatch):
         calls = Counter()
 
         def counted(name, function):
@@ -268,6 +268,7 @@ class TestConeInverse:
         patched = [
             (exactmath, "inverse"),
             (fan, "inverse"),
+            (exactmath, "_bareiss"),
             (exactmath, "smith_normal_form"),
             (exactmath, "parallelepiped_points"),
             (fan, "_cross"),
@@ -280,6 +281,7 @@ class TestConeInverse:
         divisors.toric_mld.cache_clear()
         divisors.toric_mld(user_fan, divisors.zero_divisor(user_fan))
         assert calls == {"inverse": len(entry["cones"])}
+        assert calls["_bareiss"] == 0
 
 
 class TestStandardFibrationFan:

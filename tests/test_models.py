@@ -427,6 +427,18 @@ class TestModelWU:
             _, u = model_W_U(d, l, n)
             assert y.fan.rays == u.fan.rays
 
+    def test_checks_each_vector_once(self, monkeypatch):
+        seen = []
+
+        def counted(d, vec, name):
+            seen.append((tuple(vec), name))
+            return check(d, vec, name)
+
+        check = models._v_vector
+        monkeypatch.setattr(models, "_v_vector", counted)
+        model_W_U(3, (1, 0, 0), (5, 1, 2))
+        assert seen == [((5, 1, 2), "n"), ((1, 0, 0), "l")]
+
     @pytest.mark.parametrize(
         "d,l,n,message",
         [

@@ -48,6 +48,17 @@ def test_the_plans_hold_one_entry_per_report_class():
     assert set(serialize._PLANS) == classes
 
 
+@pytest.mark.parametrize("name", ["certificate-with-bounds", "scan", "chain", "mld"])
+def test_editing_a_legend_leaves_later_documents_unchanged(name):
+    report = REPORTS[name]
+    text = serialize.dumps(serialize.encode(report))
+    edited = serialize.encode(report)
+    edited["legend"]["a"] = "x"
+    assert serialize.encode(report) == json.loads(text)
+    assert serialize.dumps(serialize.encode(report)) == text
+    assert serialize._ENVELOPES[type(report)][1] == json.loads(text)["legend"]
+
+
 @pytest.mark.parametrize("value", [1.5, {1, 2}, object(), {"a": 1}])
 def test_encode_rejects_what_no_report_holds(value):
     with pytest.raises(TypeError):
